@@ -3,7 +3,8 @@
 //! tour-construction ablation called out in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mule_graph::{ChbConfig, SearchMode, TourConstruction};
+use mule_graph::{construct_circuit, ChbConfig, SearchMode, TourConstruction};
+use mule_road::TravelMetric;
 use mule_workload::layout::bench_layout;
 use mule_workload::{ScenarioConfig, WeightSpec};
 use patrol_core::{BreakEdgePolicy, WTctp};
@@ -29,8 +30,9 @@ fn tour_constructions(c: &mut Criterion) {
             &points,
             |b, pts| {
                 b.iter(|| {
-                    black_box(mule_graph::construct_circuit_with(
+                    black_box(construct_circuit(
                         black_box(pts),
+                        &TravelMetric::Euclidean,
                         &ChbConfig::default(),
                     ))
                 })
@@ -53,12 +55,24 @@ fn scaled_tour_construction(c: &mut Criterion) {
             BenchmarkId::new("candidates", targets),
             &points,
             |b, pts| {
-                b.iter(|| black_box(mule_graph::construct_circuit_with(black_box(pts), &fast)))
+                b.iter(|| {
+                    black_box(construct_circuit(
+                        black_box(pts),
+                        &TravelMetric::Euclidean,
+                        &fast,
+                    ))
+                })
             },
         );
         if targets <= 1000 {
             group.bench_with_input(BenchmarkId::new("exact", targets), &points, |b, pts| {
-                b.iter(|| black_box(mule_graph::construct_circuit_with(black_box(pts), &exact)))
+                b.iter(|| {
+                    black_box(construct_circuit(
+                        black_box(pts),
+                        &TravelMetric::Euclidean,
+                        &exact,
+                    ))
+                })
             });
         }
     }

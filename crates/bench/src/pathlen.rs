@@ -97,7 +97,12 @@ pub fn wpp_overhead_table(params: &PathLenParams) -> TextTable {
         let base_len = plan
             .average(|s| {
                 let pts = s.patrolled_positions();
-                mule_graph::construct_circuit(&pts).length(&pts)
+                mule_graph::construct_circuit(
+                    &pts,
+                    &mule_road::TravelMetric::Euclidean,
+                    &mule_graph::ChbConfig::default(),
+                )
+                .length(&pts)
             })
             .unwrap_or(0.0);
         let wpp_len = |policy: BreakEdgePolicy| {

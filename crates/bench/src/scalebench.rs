@@ -2,9 +2,10 @@
 //!
 //! Measures circuit **construction** at large instance sizes in two
 //! flavours — the matrix-free candidate pipeline
-//! ([`mule_graph::construct_circuit_with`], which never allocates `O(n²)`
-//! state) against the dense matrix-backed pipeline
-//! ([`mule_graph::construct_circuit_matrix_backed`]) — and records, next
+//! ([`mule_graph::construct_circuit`] on Euclidean input, which never
+//! allocates `O(n²)` state) against the dense matrix-backed pipeline
+//! ([`mule_graph::construct_circuit_on`] over a materialised Euclidean
+//! [`DistanceMatrix`]) — and records, next
 //! to wall-clock, the memory figures the ROADMAP's million-target item is
 //! gated on: allocation count and bytes (from the armed
 //! [`mule_obs::alloc`] tallies), the live-bytes high-water mark, peak
@@ -22,8 +23,9 @@
 //! workload; every bytes/peak/RSS figure is machine-dependent and never
 //! pinned (`docs/DETERMINISM.md`, "Memory").
 
-use mule_graph::{construct_circuit_matrix_backed, construct_circuit_with, ChbConfig, SearchMode};
+use mule_graph::{construct_circuit, construct_circuit_on, ChbConfig, DistanceMatrix, SearchMode};
 use mule_metrics::TextTable;
+use mule_road::TravelMetric;
 use mule_workload::layout::bench_layout;
 use std::time::Instant;
 
@@ -290,11 +292,12 @@ pub fn run_scale_bench(params: &ScaleBenchParams) -> ScaleBenchReport {
         .map(|&n| {
             let points = bench_layout(params.seed, n);
             let matrix_free = measure_flavour(params.samples, || {
-                construct_circuit_with(&points, &config).length(&points)
+                construct_circuit(&points, &TravelMetric::Euclidean, &config).length(&points)
             });
             let matrix = if n <= params.matrix_cap {
                 Some(measure_flavour(params.samples, || {
-                    construct_circuit_matrix_backed(&points, &config).length(&points)
+                    let dm = DistanceMatrix::from_points(&points);
+                    construct_circuit_on(&points, &dm, &config).length(&points)
                 }))
             } else {
                 None

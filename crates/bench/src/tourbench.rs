@@ -12,8 +12,9 @@
 //! length-ratio columns are `null` in the JSON (explicitly, not silently
 //! dropped).
 
-use mule_graph::{construct_circuit_with, ChbConfig, SearchMode};
+use mule_graph::{construct_circuit, ChbConfig, SearchMode};
 use mule_metrics::TextTable;
+use mule_road::TravelMetric;
 use mule_workload::layout::bench_layout;
 use std::time::Instant;
 
@@ -238,11 +239,12 @@ pub fn run_tour_bench(params: &TourBenchParams) -> TourBenchReport {
         .map(|&n| {
             let points = bench_layout(params.seed, n);
             let (candidates_ms, candidates_len) = time_pipeline(params.samples, || {
-                construct_circuit_with(&points, &fast_config).length(&points)
+                construct_circuit(&points, &TravelMetric::Euclidean, &fast_config).length(&points)
             });
             let (exact_ms, exact_len) = if n <= params.exact_cap {
                 let (ms, len) = time_pipeline(params.samples, || {
-                    construct_circuit_with(&points, &exact_config).length(&points)
+                    construct_circuit(&points, &TravelMetric::Euclidean, &exact_config)
+                        .length(&points)
                 });
                 (Some(ms), Some(len))
             } else {
@@ -257,7 +259,7 @@ pub fn run_tour_bench(params: &TourBenchParams) -> TourBenchReport {
             let before = mule_obs::alloc::thread_stats();
             mule_obs::alloc::arm();
             let (_, trace) = mule_obs::capture(|| {
-                construct_circuit_with(&points, &fast_config);
+                construct_circuit(&points, &TravelMetric::Euclidean, &fast_config);
             });
             mule_obs::alloc::disarm();
             let after = mule_obs::alloc::thread_stats();
@@ -267,8 +269,7 @@ pub fn run_tour_bench(params: &TourBenchParams) -> TourBenchReport {
             let phase_construction_ms = profile.total_ms_where(|name| {
                 matches!(
                     name,
-                    "chb.hull_seed"
-                        | "chb.nn_seed"
+                    "chb.nn_seed"
                         | "chb.hull_insertion"
                         | "chb.candidate_lists"
                         | "graph.distance_matrix"
@@ -310,13 +311,15 @@ pub fn tracing_overhead_ratio(params: &TourBenchParams) -> f64 {
     // ratio stable on noisy machines even when `--samples` is lower.
     let samples = params.samples.max(5);
     let (plain_ms, _) = time_pipeline(samples, || {
-        construct_circuit_with(&points, &config).length(&points)
+        construct_circuit(&points, &TravelMetric::Euclidean, &config).length(&points)
     });
     let mut traced_ms = f64::INFINITY;
     mule_obs::alloc::arm();
     for _ in 0..samples {
         let start = Instant::now();
-        let _ = mule_obs::capture(|| construct_circuit_with(&points, &config).length(&points));
+        let _ = mule_obs::capture(|| {
+            construct_circuit(&points, &TravelMetric::Euclidean, &config).length(&points)
+        });
         traced_ms = traced_ms.min(start.elapsed().as_secs_f64() * 1000.0);
     }
     mule_obs::alloc::disarm();

@@ -498,7 +498,7 @@ fn run_bench_tours(options: &BenchToursOptions) -> Result<CommandOutput, Command
             ChbConfig::default().with_search(mule_graph::SearchMode::Candidates(params.k.max(1)));
         mule_obs::alloc::arm();
         let (_, trace) = mule_obs::capture(|| {
-            mule_graph::construct_circuit_with(&points, &config);
+            mule_graph::construct_circuit(&points, &mule_road::TravelMetric::Euclidean, &config);
         });
         mule_obs::alloc::disarm();
         if options.profile {

@@ -90,13 +90,3 @@ fn sweep_baseline_road_runs_matrix_candidates_per_group() {
         0xfbbb_cc47_c780_e835,
     );
 }
-
-#[test]
-fn repeat_runs_hash_identically() {
-    for flags in [
-        "--targets 300 --mules 6 --seed 3",
-        "--targets 200 --mules 4 --seed 5 --metric road-grid",
-    ] {
-        assert_eq!(plan_hash(flags), plan_hash(flags), "{flags}");
-    }
-}

@@ -12,7 +12,7 @@
 use crate::plan::{MuleItinerary, PatrolPlan, PlanError, Waypoint};
 use crate::planner::{validate_common, Planner};
 use mule_geom::Point;
-use mule_graph::{construct_circuit_metric, ChbConfig};
+use mule_graph::{angular_partition, construct_circuit, kmeans_partition, ChbConfig};
 use mule_net::NodeKind;
 use mule_workload::Scenario;
 
@@ -61,64 +61,34 @@ impl SweepPlanner {
 
     /// Splits the targets of `scenario` into `groups` groups with the given
     /// strategy, returning one vector of node indices (into the field's node
-    /// list) per group.
-    pub fn group_targets_with(
+    /// list) per group. Angular sectors are taken around the sink (the
+    /// field centre when there is none).
+    fn group_targets(
         scenario: &Scenario,
         groups: usize,
         strategy: GroupingStrategy,
     ) -> Vec<Vec<usize>> {
-        match strategy {
-            GroupingStrategy::AngularSectors => Self::group_targets(scenario, groups),
-            GroupingStrategy::KMeans => {
-                let field = scenario.field();
-                let targets: Vec<(usize, mule_geom::Point)> = field
-                    .nodes()
-                    .iter()
-                    .filter(|n| n.kind == NodeKind::Target)
-                    .map(|n| (n.id.index(), n.position))
-                    .collect();
-                let positions: Vec<mule_geom::Point> = targets.iter().map(|(_, p)| *p).collect();
-                mule_graph::kmeans_partition(&positions, groups.max(1), 50)
-                    .into_iter()
-                    .map(|group| group.into_iter().map(|local| targets[local].0).collect())
-                    .collect()
-            }
-        }
-    }
-
-    /// Splits the targets of `scenario` into `groups` angular sectors around
-    /// the sink. Returns one vector of node indices (into the field's node
-    /// list) per group; groups are balanced in size by splitting the
-    /// angle-sorted target list into contiguous chunks.
-    pub fn group_targets(scenario: &Scenario, groups: usize) -> Vec<Vec<usize>> {
         let field = scenario.field();
-        let sink = field
-            .sink()
-            .map(|s| s.position)
-            .unwrap_or_else(|| field.bounds().center());
-        let mut targets: Vec<(usize, f64)> = field
+        let (ids, positions): (Vec<usize>, Vec<Point>) = field
             .nodes()
             .iter()
             .filter(|n| n.kind == NodeKind::Target)
-            .map(|n| {
-                let v = n.position - sink;
-                (n.id.index(), v.angle())
-            })
-            .collect();
-        targets.sort_by(|a, b| a.1.total_cmp(&b.1));
-
-        let groups = groups.max(1);
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); groups];
-        if targets.is_empty() {
-            return out;
-        }
-        // Contiguous chunks of the angle-sorted list, sizes differing by at
-        // most one.
-        let per_group = targets.len().div_ceil(groups);
-        for (i, (idx, _)) in targets.into_iter().enumerate() {
-            out[(i / per_group).min(groups - 1)].push(idx);
-        }
-        out
+            .map(|n| (n.id.index(), n.position))
+            .unzip();
+        let local = match strategy {
+            GroupingStrategy::AngularSectors => {
+                let sink = field
+                    .sink()
+                    .map(|s| s.position)
+                    .unwrap_or_else(|| field.bounds().center());
+                angular_partition(&positions, &sink, groups)
+            }
+            GroupingStrategy::KMeans => kmeans_partition(&positions, groups, 50),
+        };
+        local
+            .into_iter()
+            .map(|group| group.into_iter().map(|i| ids[i]).collect())
+            .collect()
     }
 }
 
@@ -132,7 +102,7 @@ impl Planner for SweepPlanner {
         validate_common(scenario)?;
         let field = scenario.field();
         let sink_node = field.sink();
-        let groups = Self::group_targets_with(scenario, scenario.mule_count(), self.grouping);
+        let groups = Self::group_targets(scenario, scenario.mule_count(), self.grouping);
 
         let itineraries = scenario
             .mule_starts()
@@ -153,7 +123,7 @@ impl Planner for SweepPlanner {
                     return MuleItinerary::new(m, *start, vec![]);
                 }
                 let positions: Vec<Point> = nodes.iter().map(|(_, p)| *p).collect();
-                let tour = construct_circuit_metric(&positions, scenario.metric(), &self.chb);
+                let tour = construct_circuit(&positions, scenario.metric(), &self.chb);
                 let cycle: Vec<Waypoint> = tour
                     .order()
                     .iter()
@@ -185,7 +155,7 @@ mod tests {
     #[test]
     fn groups_partition_the_targets() {
         let s = scenario(3);
-        let groups = SweepPlanner::group_targets(&s, 4);
+        let groups = SweepPlanner::group_targets(&s, 4, GroupingStrategy::AngularSectors);
         assert_eq!(groups.len(), 4);
         let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
         assert_eq!(all.len(), 16, "every target is in exactly one group");
@@ -250,7 +220,7 @@ mod tests {
     #[test]
     fn kmeans_grouping_also_partitions_all_targets() {
         let s = scenario(13);
-        let groups = SweepPlanner::group_targets_with(&s, 4, GroupingStrategy::KMeans);
+        let groups = SweepPlanner::group_targets(&s, 4, GroupingStrategy::KMeans);
         assert_eq!(groups.len(), 4);
         let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
         all.sort_unstable();
@@ -270,7 +240,7 @@ mod tests {
     #[test]
     fn zero_groups_is_clamped_and_errors_propagate() {
         let s = scenario(9);
-        let groups = SweepPlanner::group_targets(&s, 0);
+        let groups = SweepPlanner::group_targets(&s, 0, GroupingStrategy::AngularSectors);
         assert_eq!(groups.len(), 1);
         let empty = ScenarioConfig::paper_default().with_mules(0).generate();
         assert_eq!(SweepPlanner::new().plan(&empty), Err(PlanError::NoMules));

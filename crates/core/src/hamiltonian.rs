@@ -10,7 +10,7 @@
 use crate::plan::Waypoint;
 use mule_geom::polyline::northmost_index;
 use mule_geom::Point;
-use mule_graph::{construct_circuit_metric, ChbConfig};
+use mule_graph::{construct_circuit, ChbConfig};
 use mule_net::NodeId;
 use mule_workload::Scenario;
 
@@ -39,7 +39,7 @@ impl SharedCircuit {
 
         // The Hamiltonian circuit over local indices 0..k of the patrolled
         // set, costed by the scenario's metric.
-        let tour = construct_circuit_metric(&positions, scenario.metric(), chb);
+        let tour = construct_circuit(&positions, scenario.metric(), chb);
         let mut order = tour.into_order();
 
         // Rotate so the most north patrolled node comes first — the paper's
@@ -119,7 +119,12 @@ mod tests {
     fn raw_construction_is_never_shorter_than_polished() {
         let s = scenario();
         let polished = SharedCircuit::build(&s, &ChbConfig::default()).unwrap();
-        let raw = SharedCircuit::build(&s, &ChbConfig::construction_only()).unwrap();
+        let construction_only = ChbConfig {
+            two_opt_passes: 0,
+            or_opt_passes: 0,
+            ..ChbConfig::default()
+        };
+        let raw = SharedCircuit::build(&s, &construction_only).unwrap();
         assert!(polished.length() <= raw.length() + 1e-9);
     }
 

@@ -45,9 +45,12 @@ const GAIN_EPS: f64 = 1e-10;
 /// generic over this trait and monomorphise, so the historical
 /// point-backed code path compiles to exactly the same inner loop as
 /// before.
-trait SearchDist {
+pub(crate) trait SearchDist {
     /// Distance between points `i` and `j`.
     fn d(&self, i: usize, j: usize) -> f64;
+
+    /// `k`-nearest candidate lists ranked by this source's own distances.
+    fn candidate_lists(&self, k: usize) -> CandidateLists;
 }
 
 impl SearchDist for &[Point] {
@@ -55,12 +58,20 @@ impl SearchDist for &[Point] {
     fn d(&self, i: usize, j: usize) -> f64 {
         dist(self, i, j)
     }
+
+    fn candidate_lists(&self, k: usize) -> CandidateLists {
+        CandidateLists::build(self, k)
+    }
 }
 
 impl SearchDist for &DistanceMatrix {
     #[inline]
     fn d(&self, i: usize, j: usize) -> f64 {
         self.get(i, j)
+    }
+
+    fn candidate_lists(&self, k: usize) -> CandidateLists {
+        CandidateLists::from_matrix(self, k)
     }
 }
 
@@ -194,19 +205,10 @@ pub fn two_opt_candidates(
     two_opt_candidates_by(tour, &points, candidates, max_rounds)
 }
 
-/// [`two_opt_candidates`] reading distances from a precomputed matrix —
-/// the variant metric-aware pipelines use (candidate lists should then come
-/// from [`CandidateLists::from_matrix`] so "nearest" matches the metric).
-pub fn two_opt_candidates_matrix(
-    tour: &mut Tour,
-    matrix: &DistanceMatrix,
-    candidates: &CandidateLists,
-    max_rounds: usize,
-) -> usize {
-    two_opt_candidates_by(tour, &matrix, candidates, max_rounds)
-}
-
-fn two_opt_candidates_by<D: SearchDist>(
+/// [`two_opt_candidates`] over any distance source; the matrix-backed
+/// pipeline pairs it with [`CandidateLists::from_matrix`] so "nearest"
+/// matches the metric.
+pub(crate) fn two_opt_candidates_by<D: SearchDist>(
     tour: &mut Tour,
     points: &D,
     candidates: &CandidateLists,
@@ -310,18 +312,9 @@ pub fn or_opt_candidates(
     or_opt_candidates_by(tour, &points, candidates, max_rounds)
 }
 
-/// [`or_opt_candidates`] reading distances from a precomputed matrix (see
-/// [`two_opt_candidates_matrix`]).
-pub fn or_opt_candidates_matrix(
-    tour: &mut Tour,
-    matrix: &DistanceMatrix,
-    candidates: &CandidateLists,
-    max_rounds: usize,
-) -> usize {
-    or_opt_candidates_by(tour, &matrix, candidates, max_rounds)
-}
-
-fn or_opt_candidates_by<D: SearchDist>(
+/// [`or_opt_candidates`] over any distance source (see
+/// [`two_opt_candidates_by`]).
+pub(crate) fn or_opt_candidates_by<D: SearchDist>(
     tour: &mut Tour,
     points: &D,
     candidates: &CandidateLists,
@@ -581,12 +574,12 @@ mod tests {
             let mut by_points = Tour::identity(pts.len());
             let mut by_matrix = Tour::identity(pts.len());
             let a = two_opt_candidates(&mut by_points, &pts, &cand, 50);
-            let b = two_opt_candidates_matrix(&mut by_matrix, &dm, &cand, 50);
+            let b = two_opt_candidates_by(&mut by_matrix, &&dm, &cand, 50);
             assert_eq!(a, b);
             assert_eq!(by_points.order(), by_matrix.order());
 
             let c = or_opt_candidates(&mut by_points, &pts, &cand, 50);
-            let d = or_opt_candidates_matrix(&mut by_matrix, &dm, &cand, 50);
+            let d = or_opt_candidates_by(&mut by_matrix, &&dm, &cand, 50);
             assert_eq!(c, d);
             assert_eq!(by_points.order(), by_matrix.order());
         }

@@ -14,10 +14,7 @@
 //! target list, they all obtain *the same* circuit — the distributed-
 //! agreement property the paper relies on.
 
-use crate::candidates::{
-    or_opt_candidates, or_opt_candidates_matrix, two_opt_candidates, two_opt_candidates_matrix,
-    CandidateLists,
-};
+use crate::candidates::{or_opt_candidates_by, two_opt_candidates_by, CandidateLists, SearchDist};
 use crate::distance_matrix::DistanceMatrix;
 use crate::insertion::{convex_hull_insertion, convex_hull_insertion_incremental};
 use crate::nearest_neighbor::nearest_neighbor;
@@ -74,15 +71,6 @@ impl SearchMode {
             other => other,
         }
     }
-
-    /// Short human-readable label used in bench output.
-    pub fn label(&self) -> String {
-        match self {
-            SearchMode::Exact => "exact".to_string(),
-            SearchMode::Candidates(k) => format!("candidates({k})"),
-            SearchMode::Auto => "auto".to_string(),
-        }
-    }
 }
 
 /// Configuration of the CHB circuit-construction pipeline.
@@ -111,16 +99,6 @@ impl Default for ChbConfig {
 }
 
 impl ChbConfig {
-    /// A configuration with all polishing disabled — raw convex-hull
-    /// insertion, used by the ablation bench.
-    pub fn construction_only() -> Self {
-        ChbConfig {
-            two_opt_passes: 0,
-            or_opt_passes: 0,
-            search: SearchMode::Auto,
-        }
-    }
-
     /// Builder-style override of the search mode.
     pub fn with_search(mut self, search: SearchMode) -> Self {
         self.search = search;
@@ -128,197 +106,186 @@ impl ChbConfig {
     }
 }
 
-/// Builds the CHB Hamiltonian circuit over `points` with the default
-/// configuration.
-pub fn construct_circuit(points: &[Point]) -> Tour {
-    construct_circuit_with(points, &ChbConfig::default())
-}
-
-/// Builds the CHB Hamiltonian circuit with an explicit configuration.
+/// Builds the CHB Hamiltonian circuit over `points` under `metric` — the
+/// one call planners, the CLI, benches and tests use.
 ///
-/// In candidate-list mode (explicit or via `Auto` above the threshold) no
-/// dense distance matrix is allocated — the `O(n²)` matrix is the first
-/// thing that stops fitting at thousands of targets.
-pub fn construct_circuit_with(points: &[Point], config: &ChbConfig) -> Tour {
+/// * Euclidean input whose search resolves to candidate lists stays
+///   **matrix-free**: incremental convex-hull insertion, kd-tree candidate
+///   lists, and distances recomputed from the coordinates (root span
+///   `chb.candidates`). The `O(n²)` matrix is the first thing that stops
+///   fitting at thousands of targets.
+/// * Everything else materialises [`DistanceMatrix::from_metric`] and
+///   delegates to [`construct_circuit_on`]. Euclidean exact search is the
+///   historical code path, byte-identical tours included; road metrics
+///   cost one Dijkstra per distinct snapped road node.
+pub fn construct_circuit(points: &[Point], metric: &TravelMetric, config: &ChbConfig) -> Tour {
     match config.search.resolve(points.len()) {
-        SearchMode::Candidates(k) => construct_circuit_candidates(points, config, k),
-        _ => {
-            let dm = DistanceMatrix::from_points(points);
-            construct_circuit_exact(points, &dm, config)
-        }
+        SearchMode::Candidates(k) if metric.is_euclidean() => pipeline(
+            points,
+            "chb.candidates",
+            Some(k),
+            Seed::HullIncremental,
+            || CandidateSearch::new(points, k),
+            config,
+        ),
+        _ => construct_circuit_on(points, &DistanceMatrix::from_metric(points, metric), config),
     }
 }
 
-/// Builds the CHB Hamiltonian circuit reusing a precomputed distance matrix.
+/// Builds the CHB Hamiltonian circuit over a precomputed distance matrix of
+/// `points` (road plans, and the dense flavour of `patrolctl bench-scale`).
 ///
-/// The matrix only feeds the exact path; in candidate-list mode distances
-/// come straight from the coordinates (the candidate search never touches
-/// `O(n²)` state).
-pub fn construct_circuit_with_matrix(
+/// * Exact search (root span `chb.exact`): convex-hull insertion, then
+///   all-pairs 2-opt / Or-opt. The hull itself comes from the point
+///   geometry (hulls are geometric objects), but every cost the insertion
+///   compares is read from `dm`.
+/// * Candidate search (root span `chb.matrix_candidates`): a
+///   nearest-neighbour seed, then candidate lists ranked by `dm`, so
+///   "nearest" means nearest by travel distance.
+pub fn construct_circuit_on(points: &[Point], dm: &DistanceMatrix, config: &ChbConfig) -> Tour {
+    match config.search.resolve(points.len()) {
+        SearchMode::Candidates(k) => pipeline(
+            points,
+            "chb.matrix_candidates",
+            Some(k),
+            Seed::NearestNeighbor(dm),
+            || CandidateSearch::new(dm, k),
+            config,
+        ),
+        _ => pipeline(
+            points,
+            "chb.exact",
+            None,
+            Seed::HullInsertion(dm),
+            || dm,
+            config,
+        ),
+    }
+}
+
+/// The one construction pipeline over `points`. The caller picks the branch
+/// once, through the two variation points: the `seed` tour and the
+/// `neighbourhood` the polish passes search (built only when some pass is
+/// enabled). Every branch then runs the same 2-opt → Or-opt → 2-opt
+/// sequence under the same phase spans, inside the root span `root`
+/// carrying the counters `n` and, for candidate search, `k`.
+fn pipeline<N: Neighbourhood>(
     points: &[Point],
-    dm: &DistanceMatrix,
+    root: &'static str,
+    k: Option<usize>,
+    seed: Seed<'_>,
+    neighbourhood: impl FnOnce() -> N,
     config: &ChbConfig,
 ) -> Tour {
-    match config.search.resolve(points.len()) {
-        SearchMode::Candidates(k) => construct_circuit_candidates(points, config, k),
-        _ => construct_circuit_exact(points, dm, config),
-    }
-}
-
-/// Builds the CHB Hamiltonian circuit under an arbitrary travel metric.
-///
-/// * `Euclidean` delegates to [`construct_circuit_with`] — the historical
-///   code path, byte-identical tours included.
-/// * `Road` precomputes the metric [`DistanceMatrix`] (one Dijkstra per
-///   distinct snapped road node) and runs the matrix-backed pipeline:
-///   exact construction + polish at or below the resolved threshold,
-///   nearest-neighbour seeding + matrix candidate lists above it. The
-///   convex-hull *seed* of the exact path still comes from the point
-///   geometry (hulls are geometric objects), but every cost it compares is
-///   a road distance.
-pub fn construct_circuit_metric(
-    points: &[Point],
-    metric: &TravelMetric,
-    config: &ChbConfig,
-) -> Tour {
-    if metric.is_euclidean() {
-        return construct_circuit_with(points, config);
-    }
-    let dm = DistanceMatrix::from_metric(points, metric);
-    match config.search.resolve(points.len()) {
-        SearchMode::Candidates(k) => construct_circuit_candidates_matrix(points, &dm, config, k),
-        _ => construct_circuit_exact(points, &dm, config),
-    }
-}
-
-/// Builds the CHB circuit through the **dense-matrix** path at any size:
-/// the full `O(n²)` Euclidean [`DistanceMatrix`] is materialised first,
-/// then the resolved pipeline (exact at or below the threshold,
-/// matrix-backed candidate lists above it) runs against it.
-///
-/// Functionally this mirrors [`construct_circuit_with`] — which never
-/// allocates the matrix in candidate mode — and exists so `patrolctl
-/// bench-scale` can measure the memory cost of the matrix representation
-/// against the matrix-free pipeline at the same instance size (see
-/// `docs/PERFORMANCE.md`). Everything runs under the existing
-/// `graph.distance_matrix` / `chb.matrix_candidates` spans.
-pub fn construct_circuit_matrix_backed(points: &[Point], config: &ChbConfig) -> Tour {
-    let dm = DistanceMatrix::from_points(points);
-    match config.search.resolve(points.len()) {
-        SearchMode::Candidates(k) => construct_circuit_candidates_matrix(points, &dm, config, k),
-        _ => construct_circuit_exact(points, &dm, config),
-    }
-}
-
-/// The matrix-backed candidate pipeline: nearest-neighbour seeding plus
-/// matrix candidate-list local search. Shared by the road-metric path and
-/// [`construct_circuit_matrix_backed`].
-fn construct_circuit_candidates_matrix(
-    points: &[Point],
-    dm: &DistanceMatrix,
-    config: &ChbConfig,
-    k: usize,
-) -> Tour {
-    let _pipeline = mule_obs::span("chb.matrix_candidates");
+    let _pipeline = mule_obs::span(root);
     mule_obs::add("n", points.len() as u64);
-    mule_obs::add("k", k as u64);
-    let mut tour = {
-        let _s = mule_obs::span("chb.nn_seed");
-        nearest_neighbor(points, dm, 0)
-    };
+    if let Some(k) = k {
+        mule_obs::add("k", k as u64);
+    }
+    let mut tour = seed.build(points);
     if config.two_opt_passes == 0 && config.or_opt_passes == 0 {
         return tour;
     }
-    let candidates = {
-        let _s = mule_obs::span("chb.candidate_lists");
-        CandidateLists::from_matrix(dm, k.max(1))
-    };
-    if config.two_opt_passes > 0 {
-        let _s = mule_obs::span("chb.two_opt");
-        let moves = two_opt_candidates_matrix(&mut tour, dm, &candidates, config.two_opt_passes);
-        mule_obs::add("moves", moves as u64);
-    }
-    if config.or_opt_passes > 0 {
-        {
-            let _s = mule_obs::span("chb.or_opt");
-            let moves = or_opt_candidates_matrix(&mut tour, dm, &candidates, config.or_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
+    let search = neighbourhood();
+    let two_opt = |tour: &mut Tour| {
         if config.two_opt_passes > 0 {
-            let _s = mule_obs::span("chb.two_opt");
-            let moves =
-                two_opt_candidates_matrix(&mut tour, dm, &candidates, config.two_opt_passes);
-            mule_obs::add("moves", moves as u64);
+            polish_pass("chb.two_opt", || {
+                search.two_opt(tour, config.two_opt_passes)
+            });
         }
-    }
-    tour
-}
-
-/// The exact pipeline: all-pairs convex-hull insertion, 2-opt, Or-opt, and
-/// a final 2-opt. Byte-stable — golden tests pin its tours.
-fn construct_circuit_exact(points: &[Point], dm: &DistanceMatrix, config: &ChbConfig) -> Tour {
-    let _pipeline = mule_obs::span("chb.exact");
-    mule_obs::add("n", points.len() as u64);
-    let mut tour = {
-        let _s = mule_obs::span("chb.hull_insertion");
-        convex_hull_insertion(points, dm)
     };
-    if config.two_opt_passes > 0 {
-        let _s = mule_obs::span("chb.two_opt");
-        let moves = two_opt(&mut tour, dm, config.two_opt_passes);
-        mule_obs::add("moves", moves as u64);
-    }
+    two_opt(&mut tour);
     if config.or_opt_passes > 0 {
-        {
-            let _s = mule_obs::span("chb.or_opt");
-            let moves = or_opt(&mut tour, dm, config.or_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
+        polish_pass("chb.or_opt", || {
+            search.or_opt(&mut tour, config.or_opt_passes)
+        });
         // A final 2-opt pass cleans up crossings introduced by relocations.
-        if config.two_opt_passes > 0 {
-            let _s = mule_obs::span("chb.two_opt");
-            let moves = two_opt(&mut tour, dm, config.two_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
+        two_opt(&mut tour);
     }
     tour
 }
 
-/// The candidate-list pipeline: incremental insertion plus neighbour-list
-/// local search, mirroring the exact pipeline's pass structure.
-fn construct_circuit_candidates(points: &[Point], config: &ChbConfig, k: usize) -> Tour {
-    let _pipeline = mule_obs::span("chb.candidates");
-    mule_obs::add("n", points.len() as u64);
-    mule_obs::add("k", k as u64);
-    let mut tour = {
-        let _s = mule_obs::span("chb.hull_seed");
-        convex_hull_insertion_incremental(points)
-    };
-    if config.two_opt_passes == 0 && config.or_opt_passes == 0 {
-        return tour;
+/// Runs one polish pass under its phase span and records its `moves`.
+fn polish_pass(span: &'static str, pass: impl FnOnce() -> usize) {
+    let _s = mule_obs::span(span);
+    mule_obs::add("moves", pass() as u64);
+}
+
+/// The tour a construction starts from.
+enum Seed<'a> {
+    /// Convex-hull insertion comparing costs read from a matrix.
+    HullInsertion(&'a DistanceMatrix),
+    /// Convex-hull insertion computing Euclidean costs from the coordinates.
+    HullIncremental,
+    /// Nearest-neighbour chain from point 0 over a matrix.
+    NearestNeighbor(&'a DistanceMatrix),
+}
+
+impl Seed<'_> {
+    /// Builds the seed tour over `points` under its phase span. Both hull
+    /// variants time the whole insertion, so they share one phase name.
+    fn build(self, points: &[Point]) -> Tour {
+        match self {
+            Seed::HullInsertion(dm) => {
+                let _s = mule_obs::span("chb.hull_insertion");
+                convex_hull_insertion(points, dm)
+            }
+            Seed::HullIncremental => {
+                let _s = mule_obs::span("chb.hull_insertion");
+                convex_hull_insertion_incremental(points)
+            }
+            Seed::NearestNeighbor(dm) => {
+                let _s = mule_obs::span("chb.nn_seed");
+                nearest_neighbor(points, dm, 0)
+            }
+        }
     }
-    let candidates = {
+}
+
+/// The moves the polish passes search. Implemented for all pairs over a
+/// matrix and for candidate lists over any [`SearchDist`] source; the
+/// pipeline is generic over it, so distance lookups stay monomorphised.
+trait Neighbourhood {
+    /// Up to `passes` rounds of 2-opt; returns the moves applied.
+    fn two_opt(&self, tour: &mut Tour, passes: usize) -> usize;
+    /// Up to `passes` rounds of Or-opt; returns the moves applied.
+    fn or_opt(&self, tour: &mut Tour, passes: usize) -> usize;
+}
+
+/// All-pairs search over a matrix: the exact, byte-stable neighbourhood.
+impl Neighbourhood for &DistanceMatrix {
+    fn two_opt(&self, tour: &mut Tour, passes: usize) -> usize {
+        two_opt(tour, self, passes)
+    }
+
+    fn or_opt(&self, tour: &mut Tour, passes: usize) -> usize {
+        or_opt(tour, self, passes)
+    }
+}
+
+/// Candidate-list search with don't-look bits over distance source `D`.
+struct CandidateSearch<D> {
+    dist: D,
+    lists: CandidateLists,
+}
+
+impl<D: SearchDist> CandidateSearch<D> {
+    /// Builds `k`-nearest lists ranked by `dist` itself.
+    fn new(dist: D, k: usize) -> Self {
         let _s = mule_obs::span("chb.candidate_lists");
-        CandidateLists::build(points, k.max(1))
-    };
-    if config.two_opt_passes > 0 {
-        let _s = mule_obs::span("chb.two_opt");
-        let moves = two_opt_candidates(&mut tour, points, &candidates, config.two_opt_passes);
-        mule_obs::add("moves", moves as u64);
+        let lists = dist.candidate_lists(k.max(1));
+        CandidateSearch { dist, lists }
     }
-    if config.or_opt_passes > 0 {
-        {
-            let _s = mule_obs::span("chb.or_opt");
-            let moves = or_opt_candidates(&mut tour, points, &candidates, config.or_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
-        if config.two_opt_passes > 0 {
-            let _s = mule_obs::span("chb.two_opt");
-            let moves = two_opt_candidates(&mut tour, points, &candidates, config.two_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
+}
+
+impl<D: SearchDist> Neighbourhood for CandidateSearch<D> {
+    fn two_opt(&self, tour: &mut Tour, passes: usize) -> usize {
+        two_opt_candidates_by(tour, &self.dist, &self.lists, passes)
     }
-    tour
+
+    fn or_opt(&self, tour: &mut Tour, passes: usize) -> usize {
+        or_opt_candidates_by(tour, &self.dist, &self.lists, passes)
+    }
 }
 
 #[cfg(test)]
@@ -326,10 +293,26 @@ mod tests {
     use super::*;
     use crate::test_support::pseudo_random_points;
 
+    /// Euclidean construction, the planners' default.
+    fn euclidean(points: &[Point], config: &ChbConfig) -> Tour {
+        construct_circuit(points, &TravelMetric::Euclidean, config)
+    }
+
+    fn with_search(search: SearchMode) -> ChbConfig {
+        ChbConfig::default().with_search(search)
+    }
+
+    /// Raw construction, no polishing.
+    const CONSTRUCTION_ONLY: ChbConfig = ChbConfig {
+        two_opt_passes: 0,
+        or_opt_passes: 0,
+        search: SearchMode::Auto,
+    };
+
     #[test]
     fn circuit_is_a_valid_hamiltonian_cycle() {
         let pts = pseudo_random_points(30, 12345);
-        let tour = construct_circuit(&pts);
+        let tour = euclidean(&pts, &ChbConfig::default());
         assert!(tour.is_valid());
         assert_eq!(tour.len(), pts.len());
     }
@@ -337,8 +320,8 @@ mod tests {
     #[test]
     fn polishing_never_hurts() {
         let pts = pseudo_random_points(40, 777);
-        let raw = construct_circuit_with(&pts, &ChbConfig::construction_only());
-        let polished = construct_circuit(&pts);
+        let raw = euclidean(&pts, &CONSTRUCTION_ONLY);
+        let polished = euclidean(&pts, &ChbConfig::default());
         assert!(polished.length(&pts) <= raw.length(&pts) + 1e-9);
     }
 
@@ -347,8 +330,8 @@ mod tests {
         // The distributed-agreement property: every mule computes the same
         // circuit from the same target list.
         let pts = pseudo_random_points(25, 42);
-        let a = construct_circuit(&pts);
-        let b = construct_circuit(&pts);
+        let a = euclidean(&pts, &ChbConfig::default());
+        let b = euclidean(&pts, &ChbConfig::default());
         assert_eq!(a.order(), b.order());
     }
 
@@ -357,7 +340,7 @@ mod tests {
         let pts = pseudo_random_points(35, 9001);
         let dm = DistanceMatrix::from_points(&pts);
         let mst = crate::minimum_spanning_tree(&pts, &dm);
-        let tour = construct_circuit(&pts);
+        let tour = euclidean(&pts, &ChbConfig::default());
         assert!(tour.length(&pts) <= 2.0 * mst.weight + 1e-9);
     }
 
@@ -365,7 +348,7 @@ mod tests {
     fn degenerate_target_counts_are_handled() {
         for n in 0..4 {
             let pts = pseudo_random_points(n, 5);
-            let tour = construct_circuit(&pts);
+            let tour = euclidean(&pts, &ChbConfig::default());
             assert_eq!(tour.len(), n);
             assert!(tour.is_valid());
         }
@@ -376,9 +359,6 @@ mod tests {
         let c = ChbConfig::default();
         assert!(c.two_opt_passes > 0 && c.or_opt_passes > 0);
         assert_eq!(c.search, SearchMode::Auto);
-        let raw = ChbConfig::construction_only();
-        assert_eq!(raw.two_opt_passes, 0);
-        assert_eq!(raw.or_opt_passes, 0);
     }
 
     #[test]
@@ -396,18 +376,14 @@ mod tests {
             SearchMode::Candidates(7).resolve(5),
             SearchMode::Candidates(7)
         );
-        assert_eq!(SearchMode::Candidates(7).label(), "candidates(7)");
-        assert_eq!(SearchMode::Auto.label(), "auto");
-        assert_eq!(SearchMode::Exact.label(), "exact");
     }
 
     #[test]
     fn auto_is_byte_identical_to_exact_below_the_threshold() {
         for n in [5usize, 25, 50, AUTO_EXACT_THRESHOLD] {
             let pts = pseudo_random_points(n, 64);
-            let auto = construct_circuit_with(&pts, &ChbConfig::default());
-            let exact =
-                construct_circuit_with(&pts, &ChbConfig::default().with_search(SearchMode::Exact));
+            let auto = euclidean(&pts, &ChbConfig::default());
+            let exact = euclidean(&pts, &with_search(SearchMode::Exact));
             assert_eq!(auto.order(), exact.order(), "n = {n}");
         }
     }
@@ -415,12 +391,8 @@ mod tests {
     #[test]
     fn candidate_mode_yields_valid_near_exact_tours() {
         let pts = pseudo_random_points(150, 2024);
-        let exact =
-            construct_circuit_with(&pts, &ChbConfig::default().with_search(SearchMode::Exact));
-        let fast = construct_circuit_with(
-            &pts,
-            &ChbConfig::default().with_search(SearchMode::Candidates(10)),
-        );
+        let exact = euclidean(&pts, &with_search(SearchMode::Exact));
+        let fast = euclidean(&pts, &with_search(SearchMode::Candidates(10)));
         assert!(fast.is_valid());
         assert_eq!(fast.len(), pts.len());
         let ratio = fast.length(&pts) / exact.length(&pts);
@@ -430,9 +402,9 @@ mod tests {
     #[test]
     fn candidate_mode_construction_only_skips_candidate_build() {
         let pts = pseudo_random_points(40, 7);
-        let tour = construct_circuit_with(
+        let tour = euclidean(
             &pts,
-            &ChbConfig::construction_only().with_search(SearchMode::Candidates(8)),
+            &CONSTRUCTION_ONLY.with_search(SearchMode::Candidates(8)),
         );
         assert!(tour.is_valid());
         assert_eq!(tour.len(), pts.len());
@@ -440,10 +412,13 @@ mod tests {
 
     #[test]
     fn metric_circuit_euclidean_is_byte_identical() {
+        // Euclidean exact search through the metric entry point is the
+        // matrix entry point over `from_points`, at every size.
         for n in [10usize, 60, AUTO_EXACT_THRESHOLD + 20] {
             let pts = pseudo_random_points(n, 31);
-            let a = construct_circuit_metric(&pts, &TravelMetric::Euclidean, &ChbConfig::default());
-            let b = construct_circuit_with(&pts, &ChbConfig::default());
+            let config = with_search(SearchMode::Exact);
+            let a = euclidean(&pts, &config);
+            let b = construct_circuit_on(&pts, &DistanceMatrix::from_points(&pts), &config);
             assert_eq!(a.order(), b.order(), "n = {n}");
         }
     }
@@ -461,8 +436,8 @@ mod tests {
             .iter()
             .map(|p| metric.road_index().unwrap().snap_position(p))
             .collect();
-        let a = construct_circuit_metric(&pts, &metric, &ChbConfig::default());
-        let b = construct_circuit_metric(&pts, &metric, &ChbConfig::default());
+        let a = construct_circuit(&pts, &metric, &ChbConfig::default());
+        let b = construct_circuit(&pts, &metric, &ChbConfig::default());
         assert_eq!(a.order(), b.order());
         assert!(a.is_valid());
         assert_eq!(a.len(), pts.len());
@@ -471,28 +446,27 @@ mod tests {
         let naive: Vec<usize> = (0..pts.len()).collect();
         assert!(dm.cycle_length(a.order()) <= dm.cycle_length(&naive));
         // The candidate path also produces a valid tour on road costs.
-        let large = construct_circuit_metric(
-            &pts,
-            &metric,
-            &ChbConfig::default().with_search(SearchMode::Candidates(8)),
-        );
+        let large = construct_circuit(&pts, &metric, &with_search(SearchMode::Candidates(8)));
         assert!(large.is_valid());
     }
 
     #[test]
     fn matrix_backed_pipeline_matches_quality_at_both_regimes() {
-        // Below the threshold the matrix-backed entry point is the exact
+        let matrix_backed = |pts: &[Point], config: &ChbConfig| {
+            construct_circuit_on(pts, &DistanceMatrix::from_points(pts), config)
+        };
+        // Below the threshold the matrix entry point is the exact
         // pipeline — byte-identical to the default path.
         let small = pseudo_random_points(40, 99);
-        let a = construct_circuit_matrix_backed(&small, &ChbConfig::default());
-        let b = construct_circuit_with(&small, &ChbConfig::default());
+        let a = matrix_backed(&small, &ChbConfig::default());
+        let b = euclidean(&small, &ChbConfig::default());
         assert_eq!(a.order(), b.order());
         // Above it, the matrix candidate pipeline must stay near the
         // matrix-free candidate pipeline in quality.
         let large = pseudo_random_points(200, 99);
-        let config = ChbConfig::default().with_search(SearchMode::Candidates(10));
-        let matrix = construct_circuit_matrix_backed(&large, &config);
-        let free = construct_circuit_with(&large, &config);
+        let config = with_search(SearchMode::Candidates(10));
+        let matrix = matrix_backed(&large, &config);
+        let free = euclidean(&large, &config);
         assert!(matrix.is_valid());
         assert_eq!(matrix.len(), large.len());
         let ratio = matrix.length(&large) / free.length(&large);
@@ -505,7 +479,7 @@ mod tests {
         // circuit (via the candidate path — this is what planners hit on
         // large scenarios).
         let pts = pseudo_random_points(AUTO_EXACT_THRESHOLD + 50, 5);
-        let tour = construct_circuit(&pts);
+        let tour = euclidean(&pts, &ChbConfig::default());
         assert!(tour.is_valid());
         assert_eq!(tour.len(), pts.len());
     }

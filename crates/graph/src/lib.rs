@@ -18,14 +18,13 @@
 //! * [`partition`] — angular and k-means target grouping (used by the Sweep
 //!   baseline and the grouping ablation).
 //! * [`chb`] — the packaged pipeline (convex-hull insertion + 2-opt + Or-opt)
-//!   used by the planners: `chb::construct_circuit(points)`. Its
-//!   [`SearchMode`] knob picks exact vs. candidate-list search; the default
-//!   `Auto` keeps paper-size instances byte-identical and switches to
-//!   candidate lists above [`chb::AUTO_EXACT_THRESHOLD`] points. The
-//!   metric-aware entry point [`construct_circuit_metric`] additionally
-//!   accepts a [`mule_road::TravelMetric`]: Euclidean delegates to the
-//!   historical path bit-for-bit, road metrics run the matrix-backed
-//!   pipeline over precomputed shortest-path distances.
+//!   used by the planners: [`construct_circuit`]`(points, metric, config)`.
+//!   Its [`SearchMode`] knob picks exact vs. candidate-list search; the
+//!   default `Auto` keeps paper-size instances byte-identical and switches
+//!   to candidate lists above [`chb::AUTO_EXACT_THRESHOLD`] points.
+//!   Euclidean candidate search stays matrix-free; everything else runs
+//!   over a [`DistanceMatrix`] through [`construct_circuit_on`], which road
+//!   plans also call directly with precomputed shortest-path distances.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -41,20 +40,14 @@ pub mod partition;
 pub mod tour;
 pub mod two_opt;
 
-pub use candidates::{
-    or_opt_candidates, or_opt_candidates_matrix, two_opt_candidates, two_opt_candidates_matrix,
-    CandidateLists,
-};
-pub use chb::{
-    construct_circuit, construct_circuit_matrix_backed, construct_circuit_metric,
-    construct_circuit_with, construct_circuit_with_matrix, ChbConfig, SearchMode,
-};
+pub use candidates::{or_opt_candidates, two_opt_candidates, CandidateLists};
+pub use chb::{construct_circuit, construct_circuit_on, ChbConfig, SearchMode};
 pub use distance_matrix::DistanceMatrix;
 pub use insertion::{cheapest_insertion, convex_hull_insertion, convex_hull_insertion_incremental};
 pub use mst::{minimum_spanning_tree, mst_preorder_tour};
 pub use nearest_neighbor::nearest_neighbor;
 pub use or_opt::or_opt;
-pub use partition::{angular_partition, kmeans_partition, within_group_spread};
+pub use partition::{angular_partition, kmeans_partition};
 pub use tour::Tour;
 pub use two_opt::two_opt;
 

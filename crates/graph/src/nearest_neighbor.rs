@@ -1,9 +1,9 @@
 //! Nearest-neighbour tour construction.
 //!
 //! The simplest Hamiltonian-circuit heuristic: start somewhere, repeatedly
-//! walk to the closest unvisited target, close the cycle at the end. Used
-//! as a cross-check and as a component of the Sweep baseline (each group's
-//! internal route).
+//! walk to the closest unvisited target, close the cycle at the end. Seeds
+//! the CHB pipeline's candidate search over a distance matrix, and serves
+//! as a cross-check construction.
 
 use crate::distance_matrix::DistanceMatrix;
 use crate::tour::Tour;
@@ -32,22 +32,6 @@ pub fn nearest_neighbor(points: &[Point], dm: &DistanceMatrix, start: usize) -> 
         current = next;
     }
     Tour::new(order)
-}
-
-/// Runs nearest-neighbour from every possible start point and returns the
-/// shortest resulting tour — a common cheap improvement over a single run.
-pub fn best_of_all_starts(points: &[Point], dm: &DistanceMatrix) -> Tour {
-    let n = points.len();
-    if n <= 1 {
-        return Tour::identity(n);
-    }
-    (0..n)
-        .map(|s| nearest_neighbor(points, dm, s))
-        .min_by(|a, b| {
-            a.length_with_matrix(dm)
-                .total_cmp(&b.length_with_matrix(dm))
-        })
-        .expect("at least one start")
 }
 
 #[cfg(test)]
@@ -104,16 +88,5 @@ mod tests {
         // neighbours, never the 14.1 m diagonal.
         let second = tour.order()[1];
         assert!(second == 1 || second == 3, "second visit was {second}");
-    }
-
-    #[test]
-    fn best_of_all_starts_is_no_worse_than_any_single_start() {
-        let pts = grid_points();
-        let dm = DistanceMatrix::from_points(&pts);
-        let best = best_of_all_starts(&pts, &dm).length_with_matrix(&dm);
-        for s in 0..pts.len() {
-            let single = nearest_neighbor(&pts, &dm, s).length_with_matrix(&dm);
-            assert!(best <= single + 1e-9);
-        }
     }
 }

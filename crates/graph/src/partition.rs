@@ -153,7 +153,8 @@ pub fn kmeans_partition(points: &[Point], groups: usize, max_iters: usize) -> Ve
 
 /// Sum over groups of the total pairwise within-group distance — a compactness
 /// score for comparing partitions (smaller is more compact).
-pub fn within_group_spread(points: &[Point], groups: &[Vec<usize>]) -> f64 {
+#[cfg(test)]
+fn within_group_spread(points: &[Point], groups: &[Vec<usize>]) -> f64 {
     let mut total = 0.0;
     for group in groups {
         for (a_pos, &a) in group.iter().enumerate() {

@@ -5,9 +5,10 @@
 use mule_geom::Point;
 use mule_graph::chb::AUTO_EXACT_THRESHOLD;
 use mule_graph::{
-    construct_circuit_with, convex_hull_insertion_incremental, or_opt_candidates,
-    two_opt_candidates, CandidateLists, ChbConfig, SearchMode,
+    construct_circuit, convex_hull_insertion_incremental, or_opt_candidates, two_opt_candidates,
+    CandidateLists, ChbConfig, SearchMode, Tour,
 };
+use mule_road::TravelMetric;
 use proptest::prelude::*;
 
 fn field_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -17,13 +18,17 @@ fn field_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
     )
 }
 
+fn euclidean(points: &[Point], config: &ChbConfig) -> Tour {
+    construct_circuit(points, &TravelMetric::Euclidean, config)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn candidate_pipeline_is_a_valid_permutation(points in field_points(0, 300)) {
         let config = ChbConfig::default().with_search(SearchMode::Candidates(10));
-        let tour = construct_circuit_with(&points, &config);
+        let tour = euclidean(&points, &config);
         prop_assert!(tour.is_valid());
         prop_assert_eq!(tour.len(), points.len());
     }
@@ -46,11 +51,11 @@ proptest! {
 
     #[test]
     fn candidate_pipeline_tracks_exact_quality(points in field_points(6, 300)) {
-        let exact = construct_circuit_with(
+        let exact = euclidean(
             &points,
             &ChbConfig::default().with_search(SearchMode::Exact),
         );
-        let fast = construct_circuit_with(
+        let fast = euclidean(
             &points,
             &ChbConfig::default().with_search(SearchMode::Candidates(10)),
         );
@@ -69,8 +74,8 @@ proptest! {
     fn auto_is_byte_identical_to_exact_below_the_threshold(
         points in field_points(0, AUTO_EXACT_THRESHOLD)
     ) {
-        let auto = construct_circuit_with(&points, &ChbConfig::default());
-        let exact = construct_circuit_with(
+        let auto = euclidean(&points, &ChbConfig::default());
+        let exact = euclidean(
             &points,
             &ChbConfig::default().with_search(SearchMode::Exact),
         );

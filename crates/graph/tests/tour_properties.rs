@@ -2,9 +2,10 @@
 
 use mule_geom::Point;
 use mule_graph::{
-    construct_circuit, minimum_spanning_tree, or_opt, two_opt, DistanceMatrix, Tour,
+    construct_circuit, minimum_spanning_tree, or_opt, two_opt, ChbConfig, DistanceMatrix, Tour,
     TourConstruction,
 };
+use mule_road::TravelMetric;
 use proptest::prelude::*;
 
 fn field_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -12,6 +13,11 @@ fn field_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
         (0.0..800.0f64, 0.0..800.0f64).prop_map(|(x, y)| Point::new(x, y)),
         min..=max,
     )
+}
+
+/// The default Euclidean CHB circuit.
+fn chb(points: &[Point]) -> Tour {
+    construct_circuit(points, &TravelMetric::Euclidean, &ChbConfig::default())
 }
 
 proptest! {
@@ -50,7 +56,7 @@ proptest! {
     fn chb_circuit_respects_mst_bounds(points in field_points(3, 35)) {
         let dm = DistanceMatrix::from_points(&points);
         let mst = minimum_spanning_tree(&points, &dm);
-        let tour = construct_circuit(&points);
+        let tour = chb(&points);
         prop_assert!(tour.is_valid());
         // MST weight is a lower bound for any Hamiltonian cycle; twice the
         // MST weight is an upper bound for the shortcut pre-order walk, and
@@ -61,14 +67,14 @@ proptest! {
 
     #[test]
     fn chb_beats_or_matches_the_mst_preorder_walk(points in field_points(3, 30)) {
-        let chb = construct_circuit(&points).length(&points);
+        let chb = chb(&points).length(&points);
         let walk = TourConstruction::MstPreorder.build(&points).length(&points);
         prop_assert!(chb <= walk + 1e-6);
     }
 
     #[test]
     fn tour_length_is_rotation_invariant(points in field_points(2, 30), start in 0usize..30) {
-        let tour = construct_circuit(&points);
+        let tour = chb(&points);
         let mut rotated = tour.clone();
         let start_target = tour.order()[start % tour.len()];
         rotated.rotate_to_start(start_target);
@@ -79,7 +85,7 @@ proptest! {
     #[test]
     fn distance_matrix_cycle_length_matches_tour_length(points in field_points(2, 30)) {
         let dm = DistanceMatrix::from_points(&points);
-        let tour = construct_circuit(&points);
+        let tour = chb(&points);
         let a = tour.length(&points);
         let b = tour.length_with_matrix(&dm);
         prop_assert!((a - b).abs() <= 1e-6);
