@@ -32,14 +32,10 @@ fn argv(s: &str) -> Vec<String> {
     s.split_whitespace().map(String::from).collect()
 }
 
-fn plan_hash(flags: &str) -> u64 {
+fn assert_pinned(flags: &str, expected: u64) {
     let cmdline = format!("plan {flags}");
     let out = run_command(&parse_args(&argv(&cmdline)).unwrap()).unwrap();
-    fnv1a(out.text.as_bytes())
-}
-
-fn assert_pinned(flags: &str, expected: u64) {
-    let got = plan_hash(flags);
+    let got = fnv1a(out.text.as_bytes());
     assert_eq!(
         got, expected,
         "`patrolctl plan {flags}` drifted: got {got:#018x}"
