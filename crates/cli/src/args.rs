@@ -1,75 +1,23 @@
 //! Command-line argument parsing for `patrolctl`.
 //!
-//! Hand-rolled (no external parser crates): flags are `--name value` pairs
-//! after a leading subcommand. Unknown flags and malformed values are
-//! reported as [`CliError`]s with a human-readable message.
+//! Every flag is declared once, in the `FLAGS` table: spelling, help, the
+//! subcommands whose runner reads it, a setter writing straight into the
+//! library's config types, and a reader of the default it documents. One
+//! loop parses every subcommand and [`USAGE`] is rendered from the table; a
+//! flag the subcommand never reads is an [`CliError::UnknownFlag`].
 
+use mule_bench::routebench::RouteBenchParams;
+use mule_bench::scalebench::ScaleBenchParams;
+use mule_bench::tourbench::TourBenchParams;
+use mule_obs::log::Severity;
+use mule_obs::SloSpec;
+use mule_serve::{LoadgenParams, ServerConfig};
+use mule_workload::{DisruptionConfig, MetricSpec, ScenarioSpec};
+use patrol_core::PlannerKind;
 use std::fmt;
-
-/// Which planner a command should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannerChoice {
-    /// B-TCTP (default).
-    BTctp,
-    /// W-TCTP with the Shortest-Length policy.
-    WTctpShortest,
-    /// W-TCTP with the Balancing-Length policy.
-    WTctpBalancing,
-    /// RW-TCTP (requires `--recharge`).
-    RwTctp,
-    /// The CHB baseline.
-    Chb,
-    /// The Sweep baseline.
-    Sweep,
-    /// The Random baseline.
-    Random,
-}
-
-impl PlannerChoice {
-    /// Parses a planner name (case-insensitive).
-    pub fn parse(s: &str) -> Result<Self, CliError> {
-        match s.to_ascii_lowercase().as_str() {
-            "b-tctp" | "btctp" | "tctp" => Ok(PlannerChoice::BTctp),
-            "w-tctp" | "wtctp" | "w-tctp-shortest" | "shortest" => Ok(PlannerChoice::WTctpShortest),
-            "w-tctp-balancing" | "balancing" => Ok(PlannerChoice::WTctpBalancing),
-            "rw-tctp" | "rwtctp" => Ok(PlannerChoice::RwTctp),
-            "chb" => Ok(PlannerChoice::Chb),
-            "sweep" => Ok(PlannerChoice::Sweep),
-            "random" => Ok(PlannerChoice::Random),
-            other => Err(CliError::InvalidValue {
-                flag: "--planner".into(),
-                value: other.into(),
-            }),
-        }
-    }
-
-    /// Display name used in output tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlannerChoice::BTctp => "B-TCTP",
-            PlannerChoice::WTctpShortest => "W-TCTP (shortest)",
-            PlannerChoice::WTctpBalancing => "W-TCTP (balancing)",
-            PlannerChoice::RwTctp => "RW-TCTP",
-            PlannerChoice::Chb => "CHB",
-            PlannerChoice::Sweep => "Sweep",
-            PlannerChoice::Random => "Random",
-        }
-    }
-
-    /// Canonical wire name used in `ScenarioSpec` requests — the name the
-    /// `mule-serve` API (and [`PlannerChoice::parse`]) accepts.
-    pub fn canonical_name(&self) -> &'static str {
-        match self {
-            PlannerChoice::BTctp => "b-tctp",
-            PlannerChoice::WTctpShortest => "w-tctp-shortest",
-            PlannerChoice::WTctpBalancing => "w-tctp-balancing",
-            PlannerChoice::RwTctp => "rw-tctp",
-            PlannerChoice::Chb => "chb",
-            PlannerChoice::Sweep => "sweep",
-            PlannerChoice::Random => "random",
-        }
-    }
-}
+use std::str::FromStr;
+use std::sync::LazyLock;
+use std::time::Duration;
 
 /// Which tour-search mode the planners' circuit construction uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,6 +46,15 @@ impl SearchChoice {
         }
     }
 
+    /// The canonical name `--search` accepts.
+    fn name(self) -> &'static str {
+        match self {
+            SearchChoice::Exact => "exact",
+            SearchChoice::Candidates => "candidates",
+            SearchChoice::Auto => "auto",
+        }
+    }
+
     /// Translates the choice (plus the optional `--knn` width) into the
     /// graph crate's search mode.
     pub fn to_mode(self, knn: Option<usize>) -> mule_graph::SearchMode {
@@ -111,48 +68,24 @@ impl SearchChoice {
     }
 }
 
-/// Parses a `--metric` value (case-insensitive; `road` aliases the grid
-/// network).
-fn parse_metric(value: &str) -> Result<mule_workload::MetricSpec, CliError> {
-    mule_workload::MetricSpec::parse(value).ok_or_else(|| CliError::InvalidValue {
-        flag: "--metric".into(),
-        value: value.into(),
-    })
-}
-
-/// Scenario + execution options shared by every subcommand.
+/// Options of the scenario subcommands (and the base of `dynamics` and
+/// `sweep`): the service-layer scenario spec plus the CLI-only knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliOptions {
-    /// Number of targets.
-    pub targets: usize,
-    /// Number of mules.
-    pub mules: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Number of VIP targets.
-    pub vips: usize,
-    /// Weight of each VIP.
-    pub vip_weight: u32,
-    /// Whether the scenario includes a recharge station.
-    pub recharge: bool,
-    /// Planner to use.
-    pub planner: PlannerChoice,
-    /// Simulation horizon in seconds.
-    pub horizon_s: f64,
-    /// Optional SVG output path.
-    pub svg_path: Option<String>,
-    /// Optional CSV trace prefix.
-    pub csv_prefix: Option<String>,
-    /// ASCII canvas width for `render`.
-    pub canvas_width: usize,
+    /// The scenario and planner, exactly as `POST /v1/plan` takes them, so
+    /// the offline commands and the service cannot drift.
+    pub spec: ScenarioSpec,
     /// Tour-search mode of the circuit construction.
     pub search: SearchChoice,
     /// Candidate-list width (k nearest neighbours) when `search` is
     /// `candidates`; `None` uses the engine default.
     pub knn: Option<usize>,
-    /// Travel metric of the scenario (`euclidean` | `road`/`road-grid` |
-    /// `road-planar`).
-    pub metric: mule_workload::MetricSpec,
+    /// Optional SVG output path (`simulate`).
+    pub svg_path: Option<String>,
+    /// CSV output: `simulate`'s trace prefix or `sweep`'s results file.
+    pub csv_prefix: Option<String>,
+    /// ASCII canvas width for `render`.
+    pub canvas_width: usize,
     /// Optional path of a Chrome `trace_event` JSON file to write the
     /// run's span trace to (loadable in `about:tracing` / Perfetto).
     pub trace_out: Option<String>,
@@ -163,20 +96,12 @@ pub struct CliOptions {
 impl Default for CliOptions {
     fn default() -> Self {
         CliOptions {
-            targets: 10,
-            mules: 4,
-            seed: 1,
-            vips: 0,
-            vip_weight: 2,
-            recharge: false,
-            planner: PlannerChoice::BTctp,
-            horizon_s: 40_000.0,
+            spec: ScenarioSpec::default(),
+            search: SearchChoice::Auto,
+            knn: None,
             svg_path: None,
             csv_prefix: None,
             canvas_width: 72,
-            search: SearchChoice::Auto,
-            knn: None,
-            metric: mule_workload::MetricSpec::Euclidean,
             trace_out: None,
             profile: false,
         }
@@ -184,163 +109,61 @@ impl Default for CliOptions {
 }
 
 /// Options of the `bench-tours` subcommand (the tracked tour-engine
-/// benchmark; see `docs/PERFORMANCE.md`).
-#[derive(Debug, Clone, PartialEq)]
+/// benchmark; see `docs/PERFORMANCE.md`). The gates fail the command
+/// after the artefact is written.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchToursOptions {
-    /// Instance sizes to bench.
-    pub sizes: Vec<usize>,
-    /// Topology seed.
-    pub seed: u64,
-    /// Candidate-list width.
-    pub k: usize,
-    /// Largest size at which the exact pipeline is still timed.
-    pub exact_cap: usize,
-    /// Timed repetitions per measurement (minimum is reported).
-    pub samples: usize,
-    /// Optional path of the JSON artefact to write (`BENCH_tours.json`).
+    /// What to bench.
+    pub params: TourBenchParams,
+    /// `--json`: where to write `BENCH_tours.json`.
     pub json_path: Option<String>,
-    /// When set, the command fails if any measured tour-length ratio
-    /// (candidates / exact) exceeds this bound — the CI regression gate.
+    /// `--max-ratio`: gate on the candidates/exact tour-length ratio.
     pub max_ratio: Option<f64>,
-    /// When set, the command fails if the traced/untraced wall-clock
-    /// ratio of the candidates pipeline exceeds this bound — the CI gate
-    /// keeping span collection cheap (tracked bound: 1.05).
+    /// `--overhead-gate`: gate on the traced/untraced wall-clock ratio.
     pub overhead_gate: Option<f64>,
-    /// Optional path of a Chrome `trace_event` JSON of one traced
-    /// candidates run at the largest size.
+    /// `--trace-out`: Chrome trace of one traced candidates run.
     pub trace_out: Option<String>,
-    /// Append a self-time profile table of that traced run to the output.
+    /// `--profile`: append that traced run's self-time profile.
     pub profile: bool,
-}
-
-impl Default for BenchToursOptions {
-    fn default() -> Self {
-        let defaults = mule_bench::tourbench::TourBenchParams::default();
-        BenchToursOptions {
-            sizes: defaults.sizes,
-            seed: defaults.seed,
-            k: defaults.k,
-            exact_cap: defaults.exact_cap,
-            samples: defaults.samples,
-            json_path: None,
-            max_ratio: None,
-            overhead_gate: None,
-            trace_out: None,
-            profile: false,
-        }
-    }
 }
 
 /// Options of the `bench-routes` subcommand (the tracked road-routing
 /// benchmark; see `docs/ROADS.md`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchRoutesOptions {
-    /// Approximate network sizes (node counts) to bench.
-    pub sizes: Vec<usize>,
-    /// Network + query seed.
-    pub seed: u64,
-    /// Point-to-point queries per flavour.
-    pub queries: usize,
-    /// ALT landmark count.
-    pub landmarks: usize,
-    /// Optional path of the JSON artefact to write (`BENCH_routes.json`).
+    /// What to bench.
+    pub params: RouteBenchParams,
+    /// `--json`: where to write `BENCH_routes.json`.
     pub json_path: Option<String>,
-    /// When set, the command fails if the largest network's ALT speedup
-    /// over plain Dijkstra falls below this bound — the CI regression
-    /// gate for the tracked "ALT ≥ 3× Dijkstra at 10k nodes" claim.
+    /// `--min-speedup`: gate on ALT's speedup over Dijkstra.
     pub min_speedup: Option<f64>,
-}
-
-impl Default for BenchRoutesOptions {
-    fn default() -> Self {
-        let defaults = mule_bench::routebench::RouteBenchParams::default();
-        BenchRoutesOptions {
-            sizes: defaults.sizes,
-            seed: defaults.seed,
-            queries: defaults.queries,
-            landmarks: defaults.landmarks,
-            json_path: None,
-            min_speedup: None,
-        }
-    }
 }
 
 /// Options of the `bench-scale` subcommand (the tracked memory-scale
 /// benchmark; see `docs/PERFORMANCE.md`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchScaleOptions {
-    /// Instance sizes to bench.
-    pub sizes: Vec<usize>,
-    /// Topology seed.
-    pub seed: u64,
-    /// Candidate-list width.
-    pub k: usize,
-    /// Largest size at which the `O(n²)` matrix-backed flavour still runs.
-    pub matrix_cap: usize,
-    /// Timed repetitions per measurement (minimum is reported).
-    pub samples: usize,
-    /// Optional path of the JSON artefact to write (`BENCH_scale.json`).
+    /// What to bench.
+    pub params: ScaleBenchParams,
+    /// `--json`: where to write `BENCH_scale.json`.
     pub json_path: Option<String>,
-    /// When set, the command fails if the matrix-free pipeline's peak
-    /// live bytes per target exceed this bound at any size — the CI
-    /// regression gate for the million-target memory budget.
+    /// `--max-bytes-per-target`: gate on the matrix-free peak footprint.
     pub max_bytes_per_target: Option<f64>,
-    /// When set, the command fails if any measured tour-length ratio
-    /// (matrix-free / matrix-backed) exceeds this bound.
+    /// `--max-ratio`: gate on the matrix-free/matrix tour-length ratio.
     pub max_ratio: Option<f64>,
-}
-
-impl Default for BenchScaleOptions {
-    fn default() -> Self {
-        let defaults = mule_bench::scalebench::ScaleBenchParams::default();
-        BenchScaleOptions {
-            sizes: defaults.sizes,
-            seed: defaults.seed,
-            k: defaults.k,
-            matrix_cap: defaults.matrix_cap,
-            samples: defaults.samples,
-            json_path: None,
-            max_bytes_per_target: None,
-            max_ratio: None,
-        }
-    }
 }
 
 /// Disruption knobs of the `dynamics` subcommand, on top of the shared
 /// scenario options.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DynamicsOptions {
     /// Scenario + execution options shared with the other subcommands.
     pub base: CliOptions,
-    /// How many targets fail mid-run.
-    pub fail_targets: usize,
-    /// When set, failed targets recover this many seconds after failing.
-    pub recover_after_s: Option<f64>,
-    /// How many targets arrive late.
-    pub late_targets: usize,
-    /// How many mules break down.
-    pub breakdowns: usize,
-    /// How many reduced-speed windows to open.
-    pub speed_windows: usize,
-    /// Speed multiplier inside each window.
-    pub speed_factor: f64,
+    /// The disruption counts and knobs. Its `seed` and `horizon_s` are
+    /// ignored: the run takes both from the scenario spec.
+    pub disruptions: DisruptionConfig,
     /// Disable online replanning (disruptions still apply).
     pub no_replan: bool,
-}
-
-impl Default for DynamicsOptions {
-    fn default() -> Self {
-        DynamicsOptions {
-            base: CliOptions::default(),
-            fail_targets: 1,
-            recover_after_s: None,
-            late_targets: 0,
-            breakdowns: 1,
-            speed_windows: 0,
-            speed_factor: 0.5,
-            no_replan: false,
-        }
-    }
 }
 
 /// A named disruption preset of the `sweep` disruption axis.
@@ -380,26 +203,35 @@ impl std::str::FromStr for DisruptionPreset {
     }
 }
 
+impl fmt::Display for DisruptionPreset {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            DisruptionPreset::None => "none",
+            DisruptionPreset::Failures => "failures",
+            DisruptionPreset::Breakdowns => "breakdowns",
+            DisruptionPreset::Mixed => "mixed",
+        })
+    }
+}
+
 /// Grid axes and execution knobs of the `sweep` subcommand, on top of the
 /// shared scenario options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOptions {
     /// Scenario + execution options shared with the other subcommands
-    /// (`--seed` / `--mules` seed the default axes; `--horizon` is the
-    /// per-replica horizon; `--csv` names the results CSV).
+    /// (the horizon is per replica; `csv_prefix` names the results CSV).
     pub base: CliOptions,
-    /// Seed axis (defaults to `[--seed]`).
+    /// Seed axis (defaults to the scenario seed).
     pub seeds: Vec<u64>,
-    /// Fleet-size axis (defaults to `[--mules]`).
+    /// Fleet-size axis (defaults to the scenario's mule count).
     pub mule_counts: Vec<usize>,
-    /// Speed axis in m/s (defaults to the paper's 2 m/s).
+    /// Speed axis in m/s.
     pub speeds: Vec<f64>,
-    /// Disruption axis (defaults to `[none]`).
+    /// Disruption axis.
     pub disruptions: Vec<DisruptionPreset>,
     /// Replications per cell.
     pub replicas: usize,
-    /// Worker-pool size override (`None` = auto: `MULE_PAR_WORKERS` or all
-    /// cores).
+    /// Worker-pool size (`None`: `MULE_PAR_WORKERS` or all cores).
     pub workers: Option<usize>,
 }
 
@@ -407,8 +239,8 @@ impl Default for SweepOptions {
     fn default() -> Self {
         let base = CliOptions::default();
         SweepOptions {
-            seeds: vec![base.seed],
-            mule_counts: vec![base.mules],
+            seeds: vec![base.spec.seed],
+            mule_counts: vec![base.spec.mules],
             speeds: vec![mule_workload::PAPER_SPEED_M_PER_S],
             disruptions: vec![DisruptionPreset::None],
             replicas: 8,
@@ -421,204 +253,106 @@ impl Default for SweepOptions {
 /// Options of the `serve` subcommand (the `mule-serve` daemon).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
-    /// Bind address (`host:port`; port 0 picks an ephemeral port).
-    pub addr: String,
-    /// Connection-handler worker threads.
-    pub workers: usize,
-    /// Plan-cache capacity in entries (0 disables caching).
-    pub cache_size: usize,
-    /// Maximum concurrently admitted connections; beyond it, new
-    /// connections get `503` + `Retry-After`.
-    pub queue_depth: usize,
-    /// Opt-in slow-request log threshold, milliseconds (`None` = off).
-    pub slow_ms: Option<f64>,
-    /// Per-request compute/read deadline, milliseconds (`None` = off).
-    pub deadline_ms: Option<u64>,
-    /// Circuit-breaker threshold: consecutive compute panics/timeouts
-    /// before a route opens (`None` = breakers off).
-    pub breaker_threshold: Option<usize>,
-    /// Circuit-breaker cooldown before the half-open probe, milliseconds.
-    pub breaker_cooldown_ms: u64,
-    /// Serve last-good (stale) bytes instead of 5xx where possible.
-    pub degraded: bool,
+    /// The daemon's configuration.
+    pub config: ServerConfig,
     /// Fault plan to arm at startup (`point=kind[@prob][#limit],...`).
     pub fault_plan: Option<String>,
     /// Seed of the armed fault plan's firing decisions.
     pub fault_seed: u64,
-    /// Expose the read-only `GET /debug/*` introspection endpoints.
-    pub debug_endpoints: bool,
-    /// Head-based trace sampling rate in `[0, 1]` (slow and 5xx requests
-    /// are tail-promoted regardless).
-    pub trace_sample: f64,
-    /// SLO objectives tracked as burn-rate gauges on `/metrics`.
-    pub slo: Option<mule_obs::SloSpec>,
     /// Minimum severity of the structured stderr log.
-    pub log_level: mule_obs::log::Severity,
+    pub log_level: Severity,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        let defaults = mule_serve::ServerConfig::default();
         ServeOptions {
-            addr: defaults.addr,
-            workers: defaults.workers,
-            cache_size: defaults.cache_capacity,
-            queue_depth: defaults.queue_depth,
-            slow_ms: defaults.slow_request_ms,
-            deadline_ms: defaults.deadline.map(|d| d.as_millis() as u64),
-            breaker_threshold: defaults.breaker_threshold,
-            breaker_cooldown_ms: defaults.breaker_cooldown.as_millis() as u64,
-            degraded: defaults.degraded,
+            config: ServerConfig::default(),
             fault_plan: None,
             fault_seed: 7,
-            debug_endpoints: defaults.debug_endpoints,
-            trace_sample: defaults.trace_sample_rate,
-            slo: None,
-            log_level: mule_obs::log::Severity::Info,
+            log_level: Severity::Info,
         }
     }
 }
 
 /// Options of the `loadgen` subcommand (the server load benchmark).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadgenOptions {
-    /// Server address to fire at.
-    pub addr: String,
-    /// Total requests across all connections.
-    pub requests: usize,
-    /// Concurrent connections.
-    pub connections: usize,
-    /// Distinct scenario specs rotated through (controls the expected
-    /// cache hit rate).
-    pub spec_pool: usize,
-    /// Targets of the base spec.
-    pub targets: usize,
-    /// Mules of the base spec.
-    pub mules: usize,
-    /// Base seed (request *i* uses `seed + (i mod spec_pool)`).
-    pub seed: u64,
-    /// Planner of the base spec.
-    pub planner: PlannerChoice,
-    /// Optional path of the JSON artefact (`BENCH_server.json`).
+    /// The load to fire (request *i* uses `base.seed + (i mod spec_pool)`).
+    pub params: LoadgenParams,
+    /// `--json`: where to write `BENCH_server.json`.
     pub json_path: Option<String>,
-    /// Regression gate: fail when p99 latency exceeds this many
-    /// milliseconds.
+    /// `--max-p99`: gate on the p99 latency, milliseconds.
     pub max_p99_ms: Option<f64>,
-    /// Regression gate: fail when throughput falls below this many
-    /// requests per second.
+    /// `--min-rps`: gate on the throughput, requests per second.
     pub min_rps: Option<f64>,
-    /// Maximum retries per request after a `503` (0 disables retrying).
-    pub retries: u32,
-    /// Run until this many seconds elapse instead of a fixed request
-    /// count (`--requests` is ignored when set).
-    pub duration_s: Option<f64>,
-    /// Leading requests whose latencies are excluded from the histogram
-    /// (warm-up discard; they still count everywhere else).
-    pub warmup: usize,
-    /// SLO objectives the report is graded against.
-    pub slo: Option<mule_obs::SloSpec>,
-}
-
-impl Default for LoadgenOptions {
-    fn default() -> Self {
-        let defaults = mule_serve::LoadgenParams::default();
-        LoadgenOptions {
-            addr: defaults.addr,
-            requests: defaults.requests,
-            connections: defaults.connections,
-            spec_pool: defaults.spec_pool,
-            targets: defaults.base.targets,
-            mules: defaults.base.mules,
-            seed: defaults.base.seed,
-            planner: PlannerChoice::BTctp,
-            json_path: None,
-            max_p99_ms: None,
-            min_rps: None,
-            retries: defaults.retry_budget,
-            duration_s: None,
-            warmup: defaults.warmup,
-            slo: None,
-        }
-    }
 }
 
 /// Options of the `chaos` subcommand (the self-checking fault-injection
 /// drill; see docs/RELIABILITY.md).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosOptions {
-    /// Seed of the fault plan's firing decisions (same seed, same faults).
-    pub seed: u64,
-    /// Requests fired serially at the in-process server.
-    pub requests: usize,
-    /// Distinct scenario specs rotated through.
-    pub spec_pool: usize,
-    /// Targets of the base spec.
-    pub targets: usize,
-    /// Mules of the base spec.
-    pub mules: usize,
-    /// Planner of the base spec.
-    pub planner: PlannerChoice,
-    /// Fault plan override (`point=kind[@prob][#limit],...`); the default
-    /// mixes panics, delays, evictions and connection faults.
+    /// Configuration of the drilled in-process server.
+    pub server: ServerConfig,
+    /// The serial load of each drill: `requests`, `spec_pool` and the
+    /// `base` spec (spec *k* of the pool uses seed `1 + k`).
+    pub load: LoadgenParams,
+    /// Fault plan override; the default mixes panics, delays, evictions
+    /// and connection faults.
     pub fault_plan: Option<String>,
-    /// Per-request compute deadline of the drilled server, milliseconds.
-    pub deadline_ms: u64,
+    /// Seed of the fault plan's firing decisions (same seed, same faults).
+    pub fault_seed: u64,
 }
 
 impl Default for ChaosOptions {
     fn default() -> Self {
         ChaosOptions {
-            seed: 7,
-            requests: 40,
-            spec_pool: 4,
-            targets: 10,
-            mules: 4,
-            planner: PlannerChoice::BTctp,
+            server: ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 2,
+                deadline: Some(Duration::from_millis(800)),
+                degraded: true,
+                ..ServerConfig::default()
+            },
+            load: LoadgenParams {
+                requests: 40,
+                ..LoadgenParams::default()
+            },
             fault_plan: None,
-            deadline_ms: 800,
+            fault_seed: 7,
         }
     }
 }
 
-/// A parsed `patrolctl` invocation.
+/// A parsed `patrolctl` invocation: one variant per subcommand (see
+/// `patrolctl help` for what each does).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CliCommand {
     /// Print usage information.
     Help,
-    /// Render the scenario and the planned route as ASCII art.
+    /// ASCII maps of the scenario and its planned route.
     Render(CliOptions),
-    /// Print the plan-response JSON for a scenario — byte-identical to
-    /// what `serve` answers on `POST /v1/plan` for the same spec.
+    /// The plan-response JSON, byte-identical to serve's `POST /v1/plan`.
     Plan(CliOptions),
     /// Simulate one planner and print its metric reports.
     Simulate(CliOptions),
-    /// Run every planner on the same scenario and print a comparison table.
+    /// Every planner on the same scenario, one comparison table.
     Compare(CliOptions),
-    /// Run a seeded disruption scenario with online replanning and print
-    /// the per-phase delay summary.
+    /// Seeded disruptions with online replanning, per-phase delays.
     Dynamics(DynamicsOptions),
-    /// Run a parallel replication sweep over a parameter grid and print
-    /// the aggregated statistics table.
+    /// Parallel replication sweep over a parameter grid.
     Sweep(SweepOptions),
-    /// Benchmark the tour engine (exact vs. candidate-list search) and
-    /// optionally write the tracked `BENCH_tours.json` artefact.
+    /// The tracked tour-engine benchmark (`BENCH_tours.json`).
     BenchTours(BenchToursOptions),
-    /// Benchmark road routing (Dijkstra vs. A* vs. ALT) and optionally
-    /// write the tracked `BENCH_routes.json` artefact.
+    /// The tracked road-routing benchmark (`BENCH_routes.json`).
     BenchRoutes(BenchRoutesOptions),
-    /// Benchmark construction memory at scale (matrix-free vs.
-    /// matrix-backed) and optionally write the tracked `BENCH_scale.json`
-    /// artefact.
+    /// The tracked memory-scale benchmark (`BENCH_scale.json`).
     BenchScale(BenchScaleOptions),
-    /// Run the planning service daemon (blocks forever).
+    /// The planning-service daemon (blocks forever).
     Serve(ServeOptions),
-    /// Fire concurrent requests at a running server and optionally write
-    /// the tracked `BENCH_server.json` artefact.
+    /// The tracked server load benchmark (`BENCH_server.json`).
     Loadgen(LoadgenOptions),
-    /// Run the self-checking fault-injection drill: boot an in-process
-    /// server with an armed fault plan and verify every degraded response
-    /// is well-formed, every success byte-identical, and the firing
-    /// sequence reproducible.
+    /// The self-checking fault-injection drill: every degraded response
+    /// well-formed, every success byte-identical, firings reproducible.
     Chaos(ChaosOptions),
 }
 
@@ -629,7 +363,7 @@ pub enum CliError {
     MissingCommand,
     /// The subcommand is not recognised.
     UnknownCommand(String),
-    /// A flag is not recognised.
+    /// A flag is not recognised, or the subcommand does not read it.
     UnknownFlag(String),
     /// A flag is missing its value.
     MissingValue(String),
@@ -670,558 +404,649 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// The usage text printed by `patrolctl help`.
-pub const USAGE: &str = "\
-patrolctl — data-mule patrolling toolkit (B-TCTP / W-TCTP / RW-TCTP)
+/// Generates `fn name(&mut self) -> Option<&mut Options>` on
+/// [`CliCommand`]: the options of one subcommand, `None` on any other.
+macro_rules! options_of {
+    ($($name:ident: $variant:ident($options:ty)),* $(,)?) => {
+        impl CliCommand {
+            $(fn $name(&mut self) -> Option<&mut $options> {
+                match self {
+                    CliCommand::$variant(o) => Some(o),
+                    _ => None,
+                }
+            })*
+        }
+    };
+}
 
-USAGE:
-    patrolctl <render|plan|simulate|compare|dynamics|sweep|bench-tours|bench-routes|bench-scale|serve|loadgen|chaos|help> [flags]
+options_of!(
+    dynamics: Dynamics(DynamicsOptions),
+    sweep: Sweep(SweepOptions),
+    tours: BenchTours(BenchToursOptions),
+    routes: BenchRoutes(BenchRoutesOptions),
+    scale: BenchScale(BenchScaleOptions),
+    serve: Serve(ServeOptions),
+    loadgen: Loadgen(LoadgenOptions),
+);
 
-FLAGS (scenario subcommands):
-    --targets N        number of targets               [default: 10]
-    --mules N          number of data mules            [default: 4]
-    --seed S           scenario seed                   [default: 1]
-    --vips N           number of VIP targets           [default: 0]
-    --vip-weight W     weight of each VIP              [default: 2]
-    --recharge         add a recharge station
-    --planner P        b-tctp | shortest | balancing | rw-tctp | chb | sweep | random
-    --search M         tour search: exact | candidates | auto  [default: auto]
-    --metric M         travel metric: euclidean | road | road-grid | road-planar
-                       (road scenarios snap targets/sink to the network and
-                       plan + simulate over shortest road paths)
-    --knn K            candidate-list width (only with --search candidates)
-    --horizon SECONDS  simulation horizon              [default: 40000]
-    --svg FILE         write the plan as an SVG file   (simulate)
-    --csv PREFIX       write visit/mule CSV traces     (simulate)
-    --width CHARS      ASCII canvas width              (render, default 72)
-    --trace-out FILE   write the run's span trace as Chrome trace_event
-                       JSON (open in about:tracing or ui.perfetto.dev)
-    --profile          append a per-span self-time profile table
+/// The fields the flag setters write that several subcommands hold
+/// (`None` on a command without them).
+impl CliCommand {
+    fn scenario(&mut self) -> Option<&mut CliOptions> {
+        match self {
+            CliCommand::Render(o)
+            | CliCommand::Plan(o)
+            | CliCommand::Simulate(o)
+            | CliCommand::Compare(o) => Some(o),
+            CliCommand::Dynamics(o) => Some(&mut o.base),
+            CliCommand::Sweep(o) => Some(&mut o.base),
+            _ => None,
+        }
+    }
 
-FLAGS (dynamics only — all disruptions are seeded by --seed):
-    --fail-targets N     targets failing mid-run        [default: 1]
-    --recover-after S    failed targets recover after S seconds
-    --late-targets N     targets arriving late          [default: 0]
-    --breakdowns N       mules breaking down            [default: 1]
-    --speed-windows N    reduced-speed windows          [default: 0]
-    --speed-factor F     speed multiplier in windows    [default: 0.5]
-    --no-replan          keep the initial plan through every disruption
+    fn spec(&mut self) -> Option<&mut ScenarioSpec> {
+        match self {
+            CliCommand::Loadgen(o) => Some(&mut o.params.base),
+            CliCommand::Chaos(o) => Some(&mut o.load.base),
+            c => c.scenario().map(|o| &mut o.spec),
+        }
+    }
 
-FLAGS (sweep only — the grid is the cartesian product of the axes):
-    --seeds LIST         seed axis, comma-separated     [default: --seed]
-    --mule-counts LIST   fleet-size axis                [default: --mules]
-    --speeds LIST        mule speed axis, m/s           [default: 2]
-    --disruptions LIST   none | failures | breakdowns | mixed  [default: none]
-    --replicas N         replications per cell          [default: 8]
-    --workers N          worker threads (default: MULE_PAR_WORKERS or all cores)
-    --csv FILE           write the aggregated statistics as CSV
+    fn server(&mut self) -> Option<&mut ServerConfig> {
+        match self {
+            CliCommand::Serve(o) => Some(&mut o.config),
+            CliCommand::Chaos(o) => Some(&mut o.server),
+            _ => None,
+        }
+    }
 
-FLAGS (serve only — the planning-service daemon, see docs/SERVER.md):
-    --addr HOST:PORT     bind address                   [default: 127.0.0.1:7878]
-    --workers N          connection-handler threads     [default: 4]
-    --cache-size N       plan-cache entries (0 = off)   [default: 128]
-    --queue-depth N      concurrent connections before 503  [default: 64]
-    --slow-ms MS         emit a serve.slow_request log event for requests
-                         slower than MS ms (trace-id correlated; off by default)
-    --deadline-ms MS     per-request read/compute deadline (504 beyond it)
-    --breaker K          open a route after K consecutive compute
-                         panics/timeouts (fast 503 until the probe closes it)
-    --breaker-cooldown-ms MS   cooldown before the half-open probe [default: 1000]
-    --degraded           serve last-good (stale) bytes instead of 5xx
-                         where possible (X-Cache: stale)
-    --fault-plan SPEC    arm a fault plan: point=kind[@prob][#limit],...
-                         (kinds: delay:MS | panic | io | evict; see
-                         docs/RELIABILITY.md for the fault-point registry)
-    --fault-seed S       seed of the plan's firing decisions [default: 7]
-    --debug-endpoints    expose the read-only GET /debug/* introspection
-                         endpoints (traces, requests, profile, alloc,
-                         events; see docs/SERVER.md)
-    --trace-sample R     keep this fraction of request traces in the debug
-                         ring (0..=1, deterministic head sampling; slow and
-                         5xx requests always kept)  [default: 0.01]
-    --slo SPEC           track SLO burn rates on /metrics:
-                         p99_ms=MS,availability=PCT (either optional)
-    --log-level L        structured-log stderr severity floor:
-                         debug | info | warn | error   [default: info]
+    fn load(&mut self) -> Option<&mut LoadgenParams> {
+        match self {
+            CliCommand::Loadgen(o) => Some(&mut o.params),
+            CliCommand::Chaos(o) => Some(&mut o.load),
+            _ => None,
+        }
+    }
 
-FLAGS (loadgen only — the tracked server load benchmark):
-    --addr HOST:PORT     server to fire at              [default: 127.0.0.1:7878]
-    --requests N         total requests                 [default: 1000]
-    --connections M      concurrent connections         [default: 4]
-    --spec-pool K        distinct specs rotated through [default: 4]
-    --targets/--mules/--seed/--planner   base spec      (as above)
-    --json FILE          write the report as JSON (BENCH_server.json)
-    --max-p99 MS         fail when p99 latency exceeds MS milliseconds
-    --min-rps R          fail when throughput falls below R req/s
-    --retries N          retry budget per request on 503 (seeded jittered
-                         backoff honouring Retry-After) [default: 3]
-    --duration-s S       run for S seconds instead of a fixed request count
-                         (--requests is ignored)
-    --warmup K           discard the first K requests' latencies from the
-                         histogram (steady-state percentiles) [default: 0]
-    --slo SPEC           grade the report: p99_ms=MS,availability=PCT
-                         (verdicts land in BENCH_server.json; informational,
-                         the hard gates stay --max-p99/--min-rps)
+    fn seed(&mut self) -> Option<&mut u64> {
+        match self {
+            CliCommand::BenchTours(o) => Some(&mut o.params.seed),
+            CliCommand::BenchRoutes(o) => Some(&mut o.params.seed),
+            CliCommand::BenchScale(o) => Some(&mut o.params.seed),
+            CliCommand::Chaos(o) => Some(&mut o.fault_seed),
+            c => c.spec().map(|s| &mut s.seed),
+        }
+    }
 
-FLAGS (chaos only — the self-checking fault-injection drill):
-    --seed S             fault-plan seed: same seed, same firing sequence
-                         [default: 7]
-    --requests N         serial requests against the drilled server [default: 40]
-    --spec-pool K        distinct specs rotated through [default: 4]
-    --targets/--mules/--planner   base spec (as above)
-    --fault-plan SPEC    override the default mixed fault plan
-    --deadline-ms MS     compute deadline of the drilled server [default: 800]
+    fn sizes(&mut self) -> Option<&mut Vec<usize>> {
+        match self {
+            CliCommand::BenchTours(o) => Some(&mut o.params.sizes),
+            CliCommand::BenchRoutes(o) => Some(&mut o.params.sizes),
+            CliCommand::BenchScale(o) => Some(&mut o.params.sizes),
+            _ => None,
+        }
+    }
 
-FLAGS (bench-tours only — the tracked tour-engine benchmark):
-    --sizes LIST         instance sizes                 [default: 50,200,1000,5000]
-    --seed S             topology seed                  [default: 42]
-    --knn K              candidate-list width           [default: 10]
-    --exact-cap N        largest size timing the exact pipeline  [default: 1000]
-    --samples N          timed repetitions (min is kept) [default: 3]
-    --json FILE          write the benchmark report as JSON
-    --max-ratio R        fail when candidates/exact tour length exceeds R
-    --overhead-gate R    fail when tracing overhead (traced/untraced time
-                         at the largest size) exceeds R   (CI pins 1.05)
-    --trace-out FILE     write a Chrome trace of one traced candidates run
-    --profile            append that run's self-time profile table
+    fn samples(&mut self) -> Option<&mut usize> {
+        match self {
+            CliCommand::BenchTours(o) => Some(&mut o.params.samples),
+            CliCommand::BenchScale(o) => Some(&mut o.params.samples),
+            _ => None,
+        }
+    }
 
-FLAGS (bench-routes only — the tracked road-routing benchmark):
-    --sizes LIST         network node counts            [default: 1000,10000]
-    --seed S             network + query seed           [default: 42]
-    --queries N          point-to-point queries per flavour  [default: 200]
-    --landmarks K        ALT landmark count             [default: 8]
-    --json FILE          write the benchmark report as JSON (BENCH_routes.json)
-    --min-speedup R      fail when ALT speedup over Dijkstra falls below R
-                         at the largest network size
+    /// Resolves what depends on more than one flag, once all are parsed.
+    fn finish(mut self) -> Result<CliCommand, CliError> {
+        if let CliCommand::Sweep(o) = &mut self {
+            // Axes not given default to the scenario's seed and fleet size.
+            if o.seeds.is_empty() {
+                o.seeds = vec![o.base.spec.seed];
+            }
+            if o.mule_counts.is_empty() {
+                o.mule_counts = vec![o.base.spec.mules];
+            }
+        }
+        if let Some(o) = self.scenario() {
+            // RW-TCTP needs a recharge station; turn it on implicitly so
+            // the obvious invocation works.
+            if o.spec.planner == PlannerKind::RwTctp.canonical_name() {
+                o.spec.recharge = true;
+            }
+            // `--knn` tunes the candidate-list width, which only exists
+            // under `--search candidates` (auto resolves its own default
+            // width above the threshold). Silently discarding the user's
+            // knob would be worse than rejecting it.
+            if o.knn.is_some() && o.search != SearchChoice::Candidates {
+                return Err(CliError::RequiresFlag {
+                    flag: "--knn".into(),
+                    requires: "--search candidates".into(),
+                });
+            }
+        }
+        Ok(self)
+    }
+}
 
-FLAGS (bench-scale only — the tracked memory-scale benchmark):
-    --sizes LIST         instance sizes                 [default: 10000,100000]
-    --seed S             topology seed                  [default: 42]
-    --knn K              candidate-list width           [default: 10]
-    --matrix-cap N       largest size running the O(n²) matrix-backed
-                         flavour (8·n² bytes)           [default: 10000]
-    --samples N          timed repetitions (min is kept) [default: 3]
-    --json FILE          write the benchmark report as JSON (BENCH_scale.json)
-    --max-bytes-per-target B   fail when matrix-free peak live bytes per
-                         target exceed B at any size
-    --max-ratio R        fail when matrix-free/matrix-backed tour length
-                         exceeds R where both ran
-    (gates fail *after* the artefact is written, like bench-tours)
+const RENDER: u16 = 1;
+const PLAN: u16 = 1 << 1;
+const SIMULATE: u16 = 1 << 2;
+const COMPARE: u16 = 1 << 3;
+const DYNAMICS: u16 = 1 << 4;
+const SWEEP: u16 = 1 << 5;
+const BENCH_TOURS: u16 = 1 << 6;
+const BENCH_ROUTES: u16 = 1 << 7;
+const BENCH_SCALE: u16 = 1 << 8;
+const SERVE: u16 = 1 << 9;
+const LOADGEN: u16 = 1 << 10;
+const CHAOS: u16 = 1 << 11;
+/// The subcommands that generate a scenario and plan it offline.
+const SCENARIO: u16 = RENDER | PLAN | SIMULATE | COMPARE | DYNAMICS | SWEEP;
+/// The scenario subcommands that build their own planners (`plan` uses the
+/// service's, with the default circuit construction).
+const PLANNING: u16 = SCENARIO & !PLAN;
+const BENCHES: u16 = BENCH_TOURS | BENCH_ROUTES | BENCH_SCALE;
 
-EXAMPLES:
-    patrolctl dynamics --targets 12 --mules 4 --seed 7 \\
-        --fail-targets 1 --breakdowns 1 --recover-after 8000
-    patrolctl sweep --targets 12 --seeds 1,2,3,4 --mule-counts 2,4 \\
-        --disruptions none,mixed --replicas 20 --csv sweep.csv
-    patrolctl bench-tours --sizes 50,200,1000 --json BENCH_tours.json \\
-        --max-ratio 1.02
-    patrolctl plan --targets 12 --mules 3 --metric road
-    patrolctl bench-routes --sizes 1000,10000 --json BENCH_routes.json \\
-        --min-speedup 3.0
-    patrolctl bench-scale --sizes 10000,100000 --json BENCH_scale.json \\
-        --max-bytes-per-target 4096 --max-ratio 1.05
-    patrolctl serve --addr 127.0.0.1:7878 --workers 4 --cache-size 128
-    patrolctl serve --deadline-ms 500 --breaker 3 --degraded
-    patrolctl serve --debug-endpoints --slo p99_ms=250,availability=99.9
-    patrolctl loadgen --requests 1000 --connections 4 \\
-        --json BENCH_server.json --max-p99 250 --min-rps 50
-    patrolctl loadgen --duration-s 30 --warmup 100 \\
-        --slo p99_ms=250,availability=99 --json BENCH_server.json
-    patrolctl chaos --seed 7 --requests 40
-";
+/// A subcommand: its bit in `Flag::subs`, its name, a one-line summary
+/// and a constructor of the command its flags fill in.
+type Subcommand = (u16, &'static str, &'static str, fn() -> CliCommand);
 
-fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
-    value.parse::<T>().map_err(|_| CliError::InvalidValue {
-        flag: flag.to_string(),
-        value: value.to_string(),
-    })
+/// Every subcommand, in usage order.
+#[rustfmt::skip]
+const SUBCOMMANDS: [Subcommand; 12] = [
+    (RENDER, "render", "ASCII maps of the scenario and its planned route",
+        || CliCommand::Render(CliOptions::default())),
+    (PLAN, "plan", "the plan JSON, byte-identical to serve's POST /v1/plan",
+        || CliCommand::Plan(CliOptions::default())),
+    (SIMULATE, "simulate", "simulate one planner and print its metric reports",
+        || CliCommand::Simulate(CliOptions::default())),
+    (COMPARE, "compare", "every planner on the same scenario, one table",
+        || CliCommand::Compare(CliOptions::default())),
+    (DYNAMICS, "dynamics", "seeded disruptions with online replanning, per-phase delays",
+        || CliCommand::Dynamics(DynamicsOptions::default())),
+    // Empty axes mean "not given": `finish` fills them in.
+    (SWEEP, "sweep", "parallel replication sweep over the product of the axes",
+        || CliCommand::Sweep(SweepOptions { seeds: vec![], mule_counts: vec![],
+                                            ..Default::default() })),
+    (BENCH_TOURS, "bench-tours", "the tracked tour-engine benchmark (exact vs. candidate lists)",
+        || CliCommand::BenchTours(BenchToursOptions::default())),
+    (BENCH_ROUTES, "bench-routes", "the tracked road-routing benchmark (Dijkstra vs. A* vs. ALT)",
+        || CliCommand::BenchRoutes(BenchRoutesOptions::default())),
+    (BENCH_SCALE, "bench-scale", "the tracked memory-scale benchmark (matrix-free vs. matrix)",
+        || CliCommand::BenchScale(BenchScaleOptions::default())),
+    (SERVE, "serve", "the planning-service daemon (see docs/SERVER.md)",
+        || CliCommand::Serve(ServeOptions::default())),
+    (LOADGEN, "loadgen", "the tracked server load benchmark against a running server",
+        || CliCommand::Loadgen(LoadgenOptions::default())),
+    (CHAOS, "chaos", "self-checking fault-injection drill (docs/RELIABILITY.md)",
+        || CliCommand::Chaos(ChaosOptions::default())),
+];
+
+/// One command-line flag, declared once: parsing and usage both read it.
+struct Flag {
+    /// The spelling plus value hint, as the usage shows it
+    /// (`"--targets N"`); a bare name is a switch.
+    usage: &'static str,
+    /// Help text (the usage wraps it).
+    help: &'static str,
+    /// The subcommands whose runner reads the flag; it is unknown to the
+    /// others.
+    subs: u16,
+    /// Writes a value into a command of one of `subs`; `None` rejects the
+    /// value. Switches get an empty value.
+    set: fn(&mut CliCommand, &str) -> Option<()>,
+    /// Reads the default the flag documents from a fresh command.
+    default: fn(&mut CliCommand) -> Option<String>,
+}
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        self.usage.split(' ').next().unwrap_or(self.usage)
+    }
+
+    fn takes_value(&self) -> bool {
+        self.usage.contains(' ')
+    }
+}
+
+/// Parses one flag value.
+fn num<T: FromStr>(value: &str) -> Option<T> {
+    value.parse().ok()
 }
 
 /// Parses a non-empty comma-separated list ("1,2,3").
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T>, CliError> {
+fn list<T: FromStr>(value: &str) -> Option<Vec<T>> {
     let items: Vec<T> = value
         .split(',')
         .map(str::trim)
         .filter(|p| !p.is_empty())
-        .map(|p| parse_flag(flag, p))
-        .collect::<Result<_, _>>()?;
-    if items.is_empty() {
-        return Err(CliError::InvalidValue {
-            flag: flag.to_string(),
-            value: value.to_string(),
-        });
-    }
-    Ok(items)
+        .map(num)
+        .collect::<Option<_>>()?;
+    (!items.is_empty()).then_some(items)
 }
 
-/// Parses the flags of `bench-tours`, which shares no scenario flags with
-/// the other subcommands.
-fn parse_bench_tours(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = BenchToursOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
-        match flag {
-            "--sizes" => options.sizes = parse_list(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--knn" => options.k = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--exact-cap" => options.exact_cap = parse_flag(flag, &take_value()?)?,
-            "--samples" => options.samples = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--json" => options.json_path = Some(take_value()?),
-            "--max-ratio" => options.max_ratio = Some(parse_flag(flag, &take_value()?)?),
-            "--overhead-gate" => options.overhead_gate = Some(parse_flag(flag, &take_value()?)?),
-            "--trace-out" => options.trace_out = Some(take_value()?),
-            "--profile" => options.profile = true,
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-        i += 1;
-    }
-    Ok(CliCommand::BenchTours(options))
+/// Renders a list the way [`list`] parses it.
+fn joined<T: ToString>(items: &[T]) -> String {
+    items.iter().map(T::to_string).collect::<Vec<_>>().join(",")
 }
 
-/// Parses the flags of `bench-routes`, which shares no scenario flags with
-/// the other subcommands.
-fn parse_bench_routes(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = BenchRoutesOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
-        match flag {
-            "--sizes" => options.sizes = parse_list(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--queries" => options.queries = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--landmarks" => options.landmarks = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--json" => options.json_path = Some(take_value()?),
-            "--min-speedup" => options.min_speedup = Some(parse_flag(flag, &take_value()?)?),
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-        i += 1;
-    }
-    Ok(CliCommand::BenchRoutes(options))
+/// Writes a parsed value into its field (the `Some` keeps setters one
+/// expression long).
+fn store<T>(slot: &mut T, value: T) -> Option<()> {
+    *slot = value;
+    Some(())
 }
 
-/// Parses the flags of `bench-scale`, which shares no scenario flags
-/// with the other subcommands.
-fn parse_bench_scale(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = BenchScaleOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
-        match flag {
-            "--sizes" => options.sizes = parse_list(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--knn" => options.k = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--matrix-cap" => options.matrix_cap = parse_flag(flag, &take_value()?)?,
-            "--samples" => options.samples = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--json" => options.json_path = Some(take_value()?),
-            "--max-bytes-per-target" => {
-                options.max_bytes_per_target = Some(parse_flag(flag, &take_value()?)?)
-            }
-            "--max-ratio" => options.max_ratio = Some(parse_flag(flag, &take_value()?)?),
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-        i += 1;
-    }
-    Ok(CliCommand::BenchScale(options))
+/// Parses a count floored at 1 (zero workers, samples or requests would
+/// deadlock or measure nothing).
+fn positive(value: &str) -> Option<usize> {
+    Some(num::<usize>(value)?.max(1))
 }
 
-/// Parses an `--slo` objective spec via [`mule_obs::SloSpec::parse`].
-fn parse_slo(flag: &str, value: &str) -> Result<mule_obs::SloSpec, CliError> {
-    mule_obs::SloSpec::parse(value).map_err(|_| CliError::InvalidValue {
-        flag: flag.to_string(),
-        value: value.to_string(),
-    })
+/// Parses a millisecond count into a duration of at least 1 ms.
+fn millis(value: &str) -> Option<Duration> {
+    Some(Duration::from_millis(num::<u64>(value)?.max(1)))
 }
 
-/// Parses a `--log-level` severity name.
-fn parse_log_level(flag: &str, value: &str) -> Result<mule_obs::log::Severity, CliError> {
-    mule_obs::log::Severity::parse(value).ok_or_else(|| CliError::InvalidValue {
-        flag: flag.to_string(),
-        value: value.to_string(),
-    })
+/// A documented default, as the usage shows it.
+fn show(value: impl ToString) -> Option<String> {
+    Some(value.to_string())
 }
 
-/// Parses the flags of `serve`.
-fn parse_serve(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = ServeOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
-        match flag {
-            "--addr" => options.addr = take_value()?,
-            "--workers" => options.workers = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--cache-size" => options.cache_size = parse_flag(flag, &take_value()?)?,
-            "--queue-depth" => {
-                options.queue_depth = parse_flag::<usize>(flag, &take_value()?)?.max(1)
-            }
-            "--slow-ms" => options.slow_ms = Some(parse_flag(flag, &take_value()?)?),
-            "--deadline-ms" => {
-                options.deadline_ms = Some(parse_flag::<u64>(flag, &take_value()?)?.max(1))
-            }
-            "--breaker" => {
-                options.breaker_threshold = Some(parse_flag::<usize>(flag, &take_value()?)?.max(1))
-            }
-            "--breaker-cooldown-ms" => {
-                options.breaker_cooldown_ms = parse_flag::<u64>(flag, &take_value()?)?.max(1)
-            }
-            "--degraded" => options.degraded = true,
-            "--fault-plan" => options.fault_plan = Some(take_value()?),
-            "--fault-seed" => options.fault_seed = parse_flag(flag, &take_value()?)?,
-            "--debug-endpoints" => options.debug_endpoints = true,
-            "--trace-sample" => {
-                let value = take_value()?;
-                let rate = parse_flag::<f64>(flag, &value)?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(CliError::InvalidValue {
-                        flag: flag.to_string(),
-                        value,
-                    });
-                }
-                options.trace_sample = rate;
-            }
-            "--slo" => options.slo = Some(parse_slo(flag, &take_value()?)?),
-            "--log-level" => options.log_level = parse_log_level(flag, &take_value()?)?,
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-        i += 1;
-    }
-    Ok(CliCommand::Serve(options))
-}
-
-/// Parses the flags of `chaos`.
-fn parse_chaos(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = ChaosOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
-        match flag {
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--requests" => options.requests = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--spec-pool" => options.spec_pool = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--targets" => options.targets = parse_flag(flag, &take_value()?)?,
-            "--mules" => options.mules = parse_flag(flag, &take_value()?)?,
-            "--planner" => options.planner = PlannerChoice::parse(&take_value()?)?,
-            "--fault-plan" => options.fault_plan = Some(take_value()?),
-            "--deadline-ms" => {
-                options.deadline_ms = parse_flag::<u64>(flag, &take_value()?)?.max(1)
-            }
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-        i += 1;
-    }
-    Ok(CliCommand::Chaos(options))
-}
-
-/// Parses the flags of `loadgen`.
-fn parse_loadgen(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = LoadgenOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
-        match flag {
-            "--addr" => options.addr = take_value()?,
-            "--requests" => options.requests = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--connections" => {
-                options.connections = parse_flag::<usize>(flag, &take_value()?)?.max(1)
-            }
-            "--spec-pool" => options.spec_pool = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--targets" => options.targets = parse_flag(flag, &take_value()?)?,
-            "--mules" => options.mules = parse_flag(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--planner" => options.planner = PlannerChoice::parse(&take_value()?)?,
-            "--json" => options.json_path = Some(take_value()?),
-            "--max-p99" => options.max_p99_ms = Some(parse_flag(flag, &take_value()?)?),
-            "--min-rps" => options.min_rps = Some(parse_flag(flag, &take_value()?)?),
-            "--retries" => options.retries = parse_flag(flag, &take_value()?)?,
-            "--duration-s" => {
-                let value = take_value()?;
-                let seconds = parse_flag::<f64>(flag, &value)?;
-                if seconds.is_nan() || seconds <= 0.0 {
-                    return Err(CliError::InvalidValue {
-                        flag: flag.to_string(),
-                        value,
-                    });
-                }
-                options.duration_s = Some(seconds);
-            }
-            "--warmup" => options.warmup = parse_flag(flag, &take_value()?)?,
-            "--slo" => options.slo = Some(parse_slo(flag, &take_value()?)?),
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-        i += 1;
-    }
-    Ok(CliCommand::Loadgen(options))
-}
+/// Every flag of every subcommand, in usage order.
+#[rustfmt::skip]
+static FLAGS: &[Flag] = &[
+    Flag { usage: "--targets N", subs: SCENARIO | LOADGEN | CHAOS, help: "number of targets",
+        set: |c, v| store(&mut c.spec()?.targets, num(v)?), default: |c| show(c.spec()?.targets) },
+    Flag { usage: "--mules N", subs: SCENARIO | LOADGEN | CHAOS, help: "number of data mules",
+        set: |c, v| store(&mut c.spec()?.mules, num(v)?), default: |c| show(c.spec()?.mules) },
+    Flag { usage: "--seed S", subs: SCENARIO | BENCHES | LOADGEN | CHAOS,
+        help: "seed of the scenario (loadgen: of its base spec), of the bench topology, or of \
+               chaos's fault-plan firing decisions (same seed, same firing sequence)",
+        set: |c, v| store(c.seed()?, num(v)?), default: |c| show(c.seed()?) },
+    Flag { usage: "--vips N", subs: SCENARIO, help: "number of VIP targets",
+        set: |c, v| store(&mut c.spec()?.vips, num(v)?), default: |c| show(c.spec()?.vips) },
+    Flag { usage: "--vip-weight W", subs: SCENARIO, help: "weight of each VIP",
+        set: |c, v| store(&mut c.spec()?.vip_weight, num(v)?),
+        default: |c| show(c.spec()?.vip_weight) },
+    Flag { usage: "--recharge", subs: SCENARIO,
+        help: "add a recharge station (implied by --planner rw-tctp)",
+        set: |c, _| store(&mut c.spec()?.recharge, true), default: |_| None },
+    Flag { usage: "--planner P", subs: (SCENARIO & !COMPARE) | LOADGEN | CHAOS,
+        help: "b-tctp | shortest | balancing | rw-tctp | chb | sweep | random",
+        set: |c, v| store(&mut c.spec()?.planner, PlannerKind::parse(v)?.canonical_name().into()),
+        default: |c| show(&c.spec()?.planner) },
+    Flag { usage: "--search M", subs: PLANNING, help: "tour search: exact | candidates | auto",
+        set: |c, v| store(&mut c.scenario()?.search, SearchChoice::parse(v).ok()?),
+        default: |c| show(c.scenario()?.search.name()) },
+    Flag { usage: "--knn K", subs: PLANNING | BENCH_TOURS | BENCH_SCALE,
+        help: "candidate-list width (scenario subcommands: only with --search candidates)",
+        set: |c, v| match c {
+            CliCommand::BenchTours(o) => store(&mut o.params.k, positive(v)?),
+            CliCommand::BenchScale(o) => store(&mut o.params.k, positive(v)?),
+            c => store(&mut c.scenario()?.knn, Some(positive(v)?)),
+        },
+        default: |c| match c {
+            CliCommand::BenchTours(o) => show(o.params.k),
+            CliCommand::BenchScale(o) => show(o.params.k),
+            _ => None,
+        } },
+    Flag { usage: "--metric M", subs: SCENARIO,
+        help: "travel metric: euclidean | road | road-grid | road-planar (road scenarios snap \
+               targets and sink to the network and plan and simulate over shortest road paths)",
+        set: |c, v| store(&mut c.spec()?.metric, MetricSpec::parse(v)?),
+        default: |c| show(c.spec()?.metric.wire_name()) },
+    Flag { usage: "--horizon SECONDS", subs: SCENARIO & !RENDER,
+        help: "simulation horizon, a finite number ≥ 0",
+        set: |c, v| {
+            let horizon = num(v).filter(|&h| ScenarioSpec::valid_horizon(h))?;
+            store(&mut c.spec()?.horizon_s, horizon)
+        },
+        default: |c| show(c.spec()?.horizon_s) },
+    Flag { usage: "--svg FILE", subs: SIMULATE, help: "write the plan as an SVG file",
+        set: |c, v| store(&mut c.scenario()?.svg_path, Some(v.into())), default: |_| None },
+    Flag { usage: "--csv PATH", subs: SIMULATE | SWEEP,
+        help: "write CSV: simulate's traces (PATH is their prefix) or sweep's statistics",
+        set: |c, v| store(&mut c.scenario()?.csv_prefix, Some(v.into())), default: |_| None },
+    Flag { usage: "--width CHARS", subs: RENDER, help: "ASCII canvas width",
+        set: |c, v| store(&mut c.scenario()?.canvas_width, num(v)?),
+        default: |c| show(c.scenario()?.canvas_width) },
+    Flag { usage: "--trace-out FILE", subs: SCENARIO | BENCH_TOURS,
+        help: "write the run's span trace as Chrome trace_event JSON (open in about:tracing or \
+               ui.perfetto.dev); bench-tours traces one candidates run at the largest size",
+        set: |c, v| match c {
+            CliCommand::BenchTours(o) => store(&mut o.trace_out, Some(v.into())),
+            c => store(&mut c.scenario()?.trace_out, Some(v.into())),
+        },
+        default: |_| None },
+    Flag { usage: "--profile", subs: SCENARIO | BENCH_TOURS,
+        help: "append a per-span self-time profile table (bench-tours: of its traced run)",
+        set: |c, _| match c {
+            CliCommand::BenchTours(o) => store(&mut o.profile, true),
+            c => store(&mut c.scenario()?.profile, true),
+        },
+        default: |_| None },
+    Flag { usage: "--fail-targets N", subs: DYNAMICS,
+        help: "targets failing mid-run (every disruption is seeded by the scenario seed)",
+        set: |c, v| store(&mut c.dynamics()?.disruptions.target_failures, num(v)?),
+        default: |c| show(c.dynamics()?.disruptions.target_failures) },
+    Flag { usage: "--recover-after S", subs: DYNAMICS,
+        help: "failed targets recover after S seconds",
+        set: |c, v| store(&mut c.dynamics()?.disruptions.recover_after_s, Some(num(v)?)),
+        default: |_| None },
+    Flag { usage: "--late-targets N", subs: DYNAMICS, help: "targets arriving late",
+        set: |c, v| store(&mut c.dynamics()?.disruptions.late_arrivals, num(v)?),
+        default: |c| show(c.dynamics()?.disruptions.late_arrivals) },
+    Flag { usage: "--breakdowns N", subs: DYNAMICS, help: "mules breaking down",
+        set: |c, v| store(&mut c.dynamics()?.disruptions.mule_breakdowns, num(v)?),
+        default: |c| show(c.dynamics()?.disruptions.mule_breakdowns) },
+    Flag { usage: "--speed-windows N", subs: DYNAMICS, help: "reduced-speed windows",
+        set: |c, v| store(&mut c.dynamics()?.disruptions.speed_windows, num(v)?),
+        default: |c| show(c.dynamics()?.disruptions.speed_windows) },
+    Flag { usage: "--speed-factor F", subs: DYNAMICS, help: "speed multiplier inside the windows",
+        set: |c, v| store(&mut c.dynamics()?.disruptions.speed_factor, num(v)?),
+        default: |c| show(c.dynamics()?.disruptions.speed_factor) },
+    Flag { usage: "--no-replan", subs: DYNAMICS,
+        help: "keep the initial plan through every disruption",
+        set: |c, _| store(&mut c.dynamics()?.no_replan, true), default: |_| None },
+    Flag { usage: "--seeds LIST", subs: SWEEP, help: "seed axis (default: the scenario seed)",
+        set: |c, v| store(&mut c.sweep()?.seeds, list(v)?), default: |_| None },
+    Flag { usage: "--mule-counts LIST", subs: SWEEP,
+        help: "fleet-size axis (default: the --mules value)",
+        set: |c, v| store(&mut c.sweep()?.mule_counts, list(v)?), default: |_| None },
+    Flag { usage: "--speeds LIST", subs: SWEEP, help: "mule speed axis, m/s",
+        set: |c, v| store(&mut c.sweep()?.speeds, list(v)?),
+        default: |c| show(joined(&c.sweep()?.speeds)) },
+    Flag { usage: "--disruptions LIST", subs: SWEEP,
+        help: "disruption axis: none | failures | breakdowns | mixed",
+        set: |c, v| store(&mut c.sweep()?.disruptions, list(v)?),
+        default: |c| show(joined(&c.sweep()?.disruptions)) },
+    Flag { usage: "--replicas N", subs: SWEEP, help: "replications per cell",
+        set: |c, v| store(&mut c.sweep()?.replicas, num(v)?),
+        default: |c| show(c.sweep()?.replicas) },
+    Flag { usage: "--workers N", subs: SWEEP | SERVE,
+        help: "threads: sweep's pool (0 = MULE_PAR_WORKERS or all cores), serve's handlers",
+        set: |c, v| match c {
+            CliCommand::Sweep(o) => store(&mut o.workers, Some(num(v)?).filter(|&n| n > 0)),
+            c => store(&mut c.server()?.workers, positive(v)?),
+        },
+        default: |c| match c {
+            CliCommand::Sweep(o) => show(o.workers.unwrap_or(0)),
+            c => show(c.server()?.workers),
+        } },
+    Flag { usage: "--sizes LIST", subs: BENCHES,
+        help: "instance sizes (bench-routes: network node counts)",
+        set: |c, v| store(c.sizes()?, list(v)?), default: |c| show(joined(c.sizes()?)) },
+    Flag { usage: "--exact-cap N", subs: BENCH_TOURS,
+        help: "largest size timing the exact pipeline",
+        set: |c, v| store(&mut c.tours()?.params.exact_cap, num(v)?),
+        default: |c| show(c.tours()?.params.exact_cap) },
+    Flag { usage: "--matrix-cap N", subs: BENCH_SCALE,
+        help: "largest size running the O(n²) matrix-backed flavour (8·n² bytes)",
+        set: |c, v| store(&mut c.scale()?.params.matrix_cap, num(v)?),
+        default: |c| show(c.scale()?.params.matrix_cap) },
+    Flag { usage: "--samples N", subs: BENCH_TOURS | BENCH_SCALE,
+        help: "timed repetitions (the minimum is kept)",
+        set: |c, v| store(c.samples()?, positive(v)?), default: |c| show(c.samples()?) },
+    Flag { usage: "--queries N", subs: BENCH_ROUTES, help: "point-to-point queries per flavour",
+        set: |c, v| store(&mut c.routes()?.params.queries, positive(v)?),
+        default: |c| show(c.routes()?.params.queries) },
+    Flag { usage: "--landmarks K", subs: BENCH_ROUTES, help: "ALT landmark count",
+        set: |c, v| store(&mut c.routes()?.params.landmarks, positive(v)?),
+        default: |c| show(c.routes()?.params.landmarks) },
+    Flag { usage: "--json FILE", subs: BENCHES | LOADGEN,
+        help: "write the report as JSON (tracked BENCH_*.json); gates fail after it is written",
+        set: |c, v| match c {
+            CliCommand::BenchTours(o) => store(&mut o.json_path, Some(v.into())),
+            CliCommand::BenchRoutes(o) => store(&mut o.json_path, Some(v.into())),
+            CliCommand::BenchScale(o) => store(&mut o.json_path, Some(v.into())),
+            c => store(&mut c.loadgen()?.json_path, Some(v.into())),
+        },
+        default: |_| None },
+    Flag { usage: "--max-ratio R", subs: BENCH_TOURS | BENCH_SCALE,
+        help: "fail when a tour-length ratio exceeds R: candidates/exact (bench-tours) or \
+               matrix-free/matrix-backed where both ran (bench-scale)",
+        set: |c, v| match c {
+            CliCommand::BenchTours(o) => store(&mut o.max_ratio, Some(num(v)?)),
+            c => store(&mut c.scale()?.max_ratio, Some(num(v)?)),
+        },
+        default: |_| None },
+    Flag { usage: "--overhead-gate R", subs: BENCH_TOURS,
+        help: "fail when tracing overhead (traced/untraced time at the largest size) exceeds R \
+               (CI pins 1.05)",
+        set: |c, v| store(&mut c.tours()?.overhead_gate, Some(num(v)?)), default: |_| None },
+    Flag { usage: "--min-speedup R", subs: BENCH_ROUTES,
+        help: "fail when ALT speedup over Dijkstra falls below R at the largest network size",
+        set: |c, v| store(&mut c.routes()?.min_speedup, Some(num(v)?)), default: |_| None },
+    Flag { usage: "--max-bytes-per-target B", subs: BENCH_SCALE,
+        help: "fail when matrix-free peak live bytes per target exceed B at any size",
+        set: |c, v| store(&mut c.scale()?.max_bytes_per_target, Some(num(v)?)), default: |_| None },
+    Flag { usage: "--addr HOST:PORT", subs: SERVE | LOADGEN,
+        help: "bind address (serve) or server to fire at (loadgen)",
+        set: |c, v| match c {
+            CliCommand::Loadgen(o) => store(&mut o.params.addr, v.into()),
+            c => store(&mut c.server()?.addr, v.into()),
+        },
+        default: |c| match c {
+            CliCommand::Loadgen(o) => show(&o.params.addr),
+            c => show(&c.server()?.addr),
+        } },
+    Flag { usage: "--cache-size N", subs: SERVE, help: "plan-cache entries (0 = off)",
+        set: |c, v| store(&mut c.server()?.cache_capacity, num(v)?),
+        default: |c| show(c.server()?.cache_capacity) },
+    Flag { usage: "--queue-depth N", subs: SERVE, help: "concurrent connections before 503",
+        set: |c, v| store(&mut c.server()?.queue_depth, positive(v)?),
+        default: |c| show(c.server()?.queue_depth) },
+    Flag { usage: "--slow-ms MS", subs: SERVE,
+        help: "log a trace-correlated serve.slow_request event for requests slower than MS ms",
+        set: |c, v| store(&mut c.server()?.slow_request_ms, Some(num(v)?)), default: |_| None },
+    Flag { usage: "--deadline-ms MS", subs: SERVE | CHAOS,
+        help: "per-request read/compute deadline, 504 beyond it (chaos: of the drilled server)",
+        set: |c, v| store(&mut c.server()?.deadline, Some(millis(v)?)),
+        default: |c| show(c.server()?.deadline?.as_millis()) },
+    Flag { usage: "--breaker K", subs: SERVE,
+        help: "open a route after K consecutive compute panics/timeouts (fast 503 until the \
+               half-open probe closes it)",
+        set: |c, v| store(&mut c.server()?.breaker_threshold, Some(positive(v)?)),
+        default: |_| None },
+    Flag { usage: "--breaker-cooldown-ms MS", subs: SERVE,
+        help: "cooldown before the half-open probe",
+        set: |c, v| store(&mut c.server()?.breaker_cooldown, millis(v)?),
+        default: |c| show(c.server()?.breaker_cooldown.as_millis()) },
+    Flag { usage: "--degraded", subs: SERVE,
+        help: "serve last-good (stale) bytes instead of 5xx where possible (X-Cache: stale)",
+        set: |c, _| store(&mut c.server()?.degraded, true), default: |_| None },
+    Flag { usage: "--fault-plan SPEC", subs: SERVE | CHAOS,
+        help: "arm a fault plan: point=kind[@prob][#limit],... (kinds: delay:MS | panic | io | \
+               evict; see docs/RELIABILITY.md for the fault-point registry); chaos: replaces \
+               its default mixed plan",
+        set: |c, v| match c {
+            CliCommand::Chaos(o) => store(&mut o.fault_plan, Some(v.into())),
+            c => store(&mut c.serve()?.fault_plan, Some(v.into())),
+        },
+        default: |_| None },
+    Flag { usage: "--fault-seed S", subs: SERVE, help: "seed of the fault plan's firing decisions",
+        set: |c, v| store(&mut c.serve()?.fault_seed, num(v)?),
+        default: |c| show(c.serve()?.fault_seed) },
+    Flag { usage: "--debug-endpoints", subs: SERVE,
+        help: "expose the read-only GET /debug/* introspection endpoints (traces, requests, \
+               profile, alloc, events; see docs/SERVER.md)",
+        set: |c, _| store(&mut c.server()?.debug_endpoints, true), default: |_| None },
+    Flag { usage: "--trace-sample R", subs: SERVE,
+        help: "keep this fraction of request traces in the debug ring (0..=1, deterministic \
+               head sampling; slow and 5xx requests always kept)",
+        set: |c, v| {
+            let rate = num(v).filter(|r| (0.0..=1.0).contains(r))?;
+            store(&mut c.server()?.trace_sample_rate, rate)
+        },
+        default: |c| show(c.server()?.trace_sample_rate) },
+    Flag { usage: "--slo SPEC", subs: SERVE | LOADGEN,
+        help: "SLO objectives p99_ms=MS,availability=PCT (either optional): serve tracks their \
+               burn rates on /metrics; loadgen grades its report (informational, the hard gates \
+               stay --max-p99/--min-rps)",
+        set: |c, v| match c {
+            CliCommand::Loadgen(o) => store(&mut o.params.slo, Some(SloSpec::parse(v).ok()?)),
+            c => store(&mut c.server()?.slo, Some(SloSpec::parse(v).ok()?)),
+        },
+        default: |_| None },
+    Flag { usage: "--log-level L", subs: SERVE,
+        help: "structured-log stderr severity floor: debug | info | warn | error",
+        set: |c, v| store(&mut c.serve()?.log_level, Severity::parse(v)?),
+        default: |c| show(c.serve()?.log_level.label()) },
+    Flag { usage: "--requests N", subs: LOADGEN | CHAOS,
+        help: "total requests (chaos: serial requests per drill)",
+        set: |c, v| store(&mut c.load()?.requests, positive(v)?),
+        default: |c| show(c.load()?.requests) },
+    Flag { usage: "--connections M", subs: LOADGEN, help: "concurrent connections",
+        set: |c, v| store(&mut c.load()?.connections, positive(v)?),
+        default: |c| show(c.load()?.connections) },
+    Flag { usage: "--spec-pool K", subs: LOADGEN | CHAOS, help: "distinct specs rotated through",
+        set: |c, v| store(&mut c.load()?.spec_pool, positive(v)?),
+        default: |c| show(c.load()?.spec_pool) },
+    Flag { usage: "--max-p99 MS", subs: LOADGEN,
+        help: "fail when p99 latency exceeds MS milliseconds",
+        set: |c, v| store(&mut c.loadgen()?.max_p99_ms, Some(num(v)?)), default: |_| None },
+    Flag { usage: "--min-rps R", subs: LOADGEN, help: "fail when throughput falls below R req/s",
+        set: |c, v| store(&mut c.loadgen()?.min_rps, Some(num(v)?)), default: |_| None },
+    Flag { usage: "--retries N", subs: LOADGEN,
+        help: "retry budget per request on 503 (seeded jittered backoff honouring Retry-After)",
+        set: |c, v| store(&mut c.load()?.retry_budget, num(v)?),
+        default: |c| show(c.load()?.retry_budget) },
+    Flag { usage: "--duration-s S", subs: LOADGEN,
+        help: "run for S seconds instead of a fixed request count (--requests is ignored)",
+        set: |c, v| {
+            let seconds = num(v).filter(|&s: &f64| s > 0.0)?;
+            store(&mut c.load()?.duration, Some(Duration::try_from_secs_f64(seconds).ok()?))
+        },
+        default: |_| None },
+    Flag { usage: "--warmup K", subs: LOADGEN,
+        help: "discard the first K requests' latencies from the histogram (steady state)",
+        set: |c, v| store(&mut c.load()?.warmup, num(v)?), default: |c| show(c.load()?.warmup) },
+];
 
 /// Parses the argument list (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
-    let command = args.first().ok_or(CliError::MissingCommand)?;
-    if matches!(command.as_str(), "help" | "--help" | "-h") {
+    let name = args.first().ok_or(CliError::MissingCommand)?;
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
         return Ok(CliCommand::Help);
     }
-    if command == "bench-tours" {
-        return parse_bench_tours(&args[1..]);
-    }
-    if command == "bench-routes" {
-        return parse_bench_routes(&args[1..]);
-    }
-    if command == "bench-scale" {
-        return parse_bench_scale(&args[1..]);
-    }
-    if command == "serve" {
-        return parse_serve(&args[1..]);
-    }
-    if command == "loadgen" {
-        return parse_loadgen(&args[1..]);
-    }
-    if command == "chaos" {
-        return parse_chaos(&args[1..]);
-    }
-    let is_dynamics = command == "dynamics";
-    let is_sweep = command == "sweep";
-
-    let mut options = CliOptions::default();
-    let mut dynamics = DynamicsOptions::default();
-    let mut sweep = SweepOptions::default();
-    // Axes default to the shared `--seed` / `--mules` values unless given
-    // explicitly; resolved after the flag loop.
-    let mut sweep_seeds: Option<Vec<u64>> = None;
-    let mut sweep_mule_counts: Option<Vec<usize>> = None;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
+    let &(sub, _, _, fresh) = SUBCOMMANDS
+        .iter()
+        .find(|s| s.1 == name.as_str())
+        .ok_or_else(|| CliError::UnknownCommand(name.clone()))?;
+    let mut command = fresh();
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.subs & sub != 0 && f.name() == arg.as_str())
+            .ok_or_else(|| CliError::UnknownFlag(arg.clone()))?;
+        let value = match flag.takes_value() {
+            true => rest
+                .next()
+                .ok_or_else(|| CliError::MissingValue(arg.clone()))?
+                .as_str(),
+            false => "",
         };
-        match flag {
-            "--targets" => options.targets = parse_flag(flag, &take_value()?)?,
-            "--mules" => options.mules = parse_flag(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--vips" => options.vips = parse_flag(flag, &take_value()?)?,
-            "--vip-weight" => options.vip_weight = parse_flag(flag, &take_value()?)?,
-            "--horizon" => options.horizon_s = parse_flag(flag, &take_value()?)?,
-            "--width" => options.canvas_width = parse_flag(flag, &take_value()?)?,
-            "--planner" => options.planner = PlannerChoice::parse(&take_value()?)?,
-            "--search" => options.search = SearchChoice::parse(&take_value()?)?,
-            "--metric" => options.metric = parse_metric(&take_value()?)?,
-            "--knn" => options.knn = Some(parse_flag::<usize>(flag, &take_value()?)?.max(1)),
-            "--svg" => options.svg_path = Some(take_value()?),
-            "--csv" => options.csv_prefix = Some(take_value()?),
-            "--recharge" => options.recharge = true,
-            "--trace-out" => options.trace_out = Some(take_value()?),
-            "--profile" => options.profile = true,
-            "--fail-targets" if is_dynamics => {
-                dynamics.fail_targets = parse_flag(flag, &take_value()?)?
-            }
-            "--recover-after" if is_dynamics => {
-                dynamics.recover_after_s = Some(parse_flag(flag, &take_value()?)?)
-            }
-            "--late-targets" if is_dynamics => {
-                dynamics.late_targets = parse_flag(flag, &take_value()?)?
-            }
-            "--breakdowns" if is_dynamics => {
-                dynamics.breakdowns = parse_flag(flag, &take_value()?)?
-            }
-            "--speed-windows" if is_dynamics => {
-                dynamics.speed_windows = parse_flag(flag, &take_value()?)?
-            }
-            "--speed-factor" if is_dynamics => {
-                dynamics.speed_factor = parse_flag(flag, &take_value()?)?
-            }
-            "--no-replan" if is_dynamics => dynamics.no_replan = true,
-            "--seeds" if is_sweep => sweep_seeds = Some(parse_list(flag, &take_value()?)?),
-            "--mule-counts" if is_sweep => {
-                sweep_mule_counts = Some(parse_list(flag, &take_value()?)?)
-            }
-            "--speeds" if is_sweep => sweep.speeds = parse_list(flag, &take_value()?)?,
-            "--disruptions" if is_sweep => sweep.disruptions = parse_list(flag, &take_value()?)?,
-            "--replicas" if is_sweep => sweep.replicas = parse_flag(flag, &take_value()?)?,
-            "--workers" if is_sweep => {
-                sweep.workers = Some(parse_flag::<usize>(flag, &take_value()?)?).filter(|&n| n > 0)
-            }
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-        i += 1;
+        (flag.set)(&mut command, value).ok_or_else(|| CliError::InvalidValue {
+            flag: arg.clone(),
+            value: value.to_string(),
+        })?;
     }
+    command.finish()
+}
 
-    // RW-TCTP needs a recharge station; turn it on implicitly so the obvious
-    // invocation works.
-    if options.planner == PlannerChoice::RwTctp {
-        options.recharge = true;
-    }
-
-    // `--knn` tunes the candidate-list width, which only exists under
-    // `--search candidates` (auto resolves its own default width above the
-    // threshold). Silently discarding the user's knob would be worse than
-    // rejecting it.
-    if options.knn.is_some() && options.search != SearchChoice::Candidates {
-        return Err(CliError::RequiresFlag {
-            flag: "--knn".into(),
-            requires: "--search candidates".into(),
-        });
-    }
-
-    match command.as_str() {
-        "render" => Ok(CliCommand::Render(options)),
-        "plan" => Ok(CliCommand::Plan(options)),
-        "simulate" => Ok(CliCommand::Simulate(options)),
-        "compare" => Ok(CliCommand::Compare(options)),
-        "dynamics" => {
-            dynamics.base = options;
-            Ok(CliCommand::Dynamics(dynamics))
+/// Appends `lead` padded to `indent` columns, then `text` word-wrapped to
+/// 80 columns with continuation lines indented to the same column.
+fn push_wrapped(out: &mut String, lead: &str, text: &str, indent: usize) {
+    let mut line = format!("{lead:<indent$}");
+    for word in text.split_whitespace() {
+        let started = line.len() > indent;
+        if started && line.chars().count() + 1 + word.chars().count() > 80 {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(indent);
+        } else if started {
+            line.push(' ');
         }
-        "sweep" => {
-            sweep.seeds = sweep_seeds.unwrap_or_else(|| vec![options.seed]);
-            sweep.mule_counts = sweep_mule_counts.unwrap_or_else(|| vec![options.mules]);
-            sweep.base = options;
-            Ok(CliCommand::Sweep(sweep))
+        line.push_str(word);
+    }
+    out.push_str(line.trim_end());
+    out.push('\n');
+}
+
+/// The flag's documented default on each subcommand that reads it, read
+/// from a fresh command: `[default: V]` when every such subcommand agrees,
+/// `[default: V for a, b; W for c]` otherwise.
+fn default_note(flag: &Flag) -> String {
+    let mut groups: Vec<(String, Vec<&str>)> = Vec::new();
+    let reading = SUBCOMMANDS.iter().filter(|s| flag.subs & s.0 != 0);
+    for &(_, name, _, fresh) in reading.clone() {
+        let Some(value) = (flag.default)(&mut fresh()) else {
+            continue;
+        };
+        match groups.iter_mut().find(|(v, _)| *v == value) {
+            Some((_, subs)) => subs.push(name),
+            None => groups.push((value, vec![name])),
         }
-        other => Err(CliError::UnknownCommand(other.to_string())),
+    }
+    match groups.as_slice() {
+        [] => String::new(),
+        [(value, subs)] if subs.len() == reading.count() => format!(" [default: {value}]"),
+        _ => {
+            let parts: Vec<String> = groups
+                .iter()
+                .map(|(value, subs)| format!("{value} for {}", subs.join(", ")))
+                .collect();
+            format!(" [default: {}]", parts.join("; "))
+        }
     }
 }
 
+/// Renders the usage text from the subcommand and flag tables.
+fn render_usage() -> String {
+    let mut out = String::from(
+        "patrolctl — data-mule patrolling toolkit (B-TCTP / W-TCTP / RW-TCTP)\n\n\
+         USAGE:\n    patrolctl <subcommand> [flags]\n\n\
+         SUBCOMMANDS (each reads only the flags listed under it):\n",
+    );
+    for &(sub, name, summary, _) in &SUBCOMMANDS {
+        push_wrapped(&mut out, &format!("    {name}"), summary, 19);
+        let flags: Vec<&str> = FLAGS
+            .iter()
+            .filter(|f| f.subs & sub != 0)
+            .map(Flag::name)
+            .collect();
+        push_wrapped(&mut out, "", &flags.join(" "), 19);
+    }
+    out.push_str("    help           print this text\n\nFLAGS:\n");
+    for flag in FLAGS {
+        let text = format!("{}{}", flag.help, default_note(flag));
+        push_wrapped(&mut out, &format!("    {}", flag.usage), &text, 29);
+    }
+    out.push_str(EXAMPLES);
+    out
+}
+
+const EXAMPLES: &str = "
+EXAMPLES:
+    patrolctl dynamics --targets 12 --mules 4 --fail-targets 1 \\
+        --breakdowns 1 --recover-after 8000
+    patrolctl sweep --targets 12 --seeds 1,2,3,4 --mule-counts 2,4 \\
+        --disruptions none,mixed --replicas 20 --csv sweep.csv
+    patrolctl plan --targets 12 --mules 3 --metric road
+    patrolctl bench-tours --sizes 50,200,1000 --json BENCH_tours.json --max-ratio 1.02
+    patrolctl serve --deadline-ms 500 --breaker 3 --degraded --debug-endpoints
+    patrolctl loadgen --duration-s 30 --warmup 100 --slo p99_ms=250 --json BENCH_server.json
+    patrolctl chaos --requests 40 --spec-pool 4
+";
+
+/// The usage text printed by `patrolctl help` (and after a parse error),
+/// rendered from the flag table.
+pub static USAGE: LazyLock<String> = LazyLock::new(render_usage);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1256,28 +1081,25 @@ mod tests {
         let CliCommand::Simulate(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.targets, 25);
-        assert_eq!(opts.mules, 6);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.vips, 3);
-        assert_eq!(opts.vip_weight, 4);
-        assert_eq!(opts.planner, PlannerChoice::WTctpBalancing);
-        assert_eq!(opts.horizon_s, 12345.0);
-        assert!(opts.recharge);
+        assert_eq!(opts.spec.targets, 25);
+        assert_eq!(opts.spec.mules, 6);
+        assert_eq!(opts.spec.seed, 9);
+        assert_eq!(opts.spec.vips, 3);
+        assert_eq!(opts.spec.vip_weight, 4);
+        assert_eq!(
+            opts.spec.planner,
+            PlannerKind::WTctpBalancing.canonical_name()
+        );
+        assert_eq!(opts.spec.horizon_s, 12345.0);
+        assert!(opts.spec.recharge);
     }
 
     #[test]
     fn planner_names_parse_case_insensitively() {
-        assert_eq!(
-            PlannerChoice::parse("B-TCTP").unwrap(),
-            PlannerChoice::BTctp
-        );
-        assert_eq!(PlannerChoice::parse("ChB").unwrap(), PlannerChoice::Chb);
-        assert_eq!(
-            PlannerChoice::parse("rw-tctp").unwrap(),
-            PlannerChoice::RwTctp
-        );
-        assert!(PlannerChoice::parse("nonsense").is_err());
+        assert_eq!(PlannerKind::parse("B-TCTP").unwrap(), PlannerKind::BTctp);
+        assert_eq!(PlannerKind::parse("ChB").unwrap(), PlannerKind::Chb);
+        assert_eq!(PlannerKind::parse("rw-tctp").unwrap(), PlannerKind::RwTctp);
+        assert!(PlannerKind::parse("nonsense").is_none());
     }
 
     #[test]
@@ -1286,7 +1108,7 @@ mod tests {
         else {
             panic!()
         };
-        assert!(opts.recharge);
+        assert!(opts.spec.recharge);
     }
 
     #[test]
@@ -1326,10 +1148,10 @@ mod tests {
             panic!("expected dynamics");
         };
         assert_eq!(opts, DynamicsOptions::default());
-        assert_eq!(opts.fail_targets, 1);
-        assert_eq!(opts.breakdowns, 1);
-        assert_eq!(opts.late_targets, 0);
-        assert!(opts.recover_after_s.is_none());
+        assert_eq!(opts.disruptions.target_failures, 1);
+        assert_eq!(opts.disruptions.mule_breakdowns, 1);
+        assert_eq!(opts.disruptions.late_arrivals, 0);
+        assert!(opts.disruptions.recover_after_s.is_none());
         assert!(!opts.no_replan);
     }
 
@@ -1344,15 +1166,15 @@ mod tests {
         let CliCommand::Dynamics(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.base.targets, 12);
-        assert_eq!(opts.base.mules, 5);
-        assert_eq!(opts.base.seed, 9);
-        assert_eq!(opts.fail_targets, 2);
-        assert_eq!(opts.recover_after_s, Some(8000.0));
-        assert_eq!(opts.late_targets, 1);
-        assert_eq!(opts.breakdowns, 2);
-        assert_eq!(opts.speed_windows, 1);
-        assert_eq!(opts.speed_factor, 0.25);
+        assert_eq!(opts.base.spec.targets, 12);
+        assert_eq!(opts.base.spec.mules, 5);
+        assert_eq!(opts.base.spec.seed, 9);
+        assert_eq!(opts.disruptions.target_failures, 2);
+        assert_eq!(opts.disruptions.recover_after_s, Some(8000.0));
+        assert_eq!(opts.disruptions.late_arrivals, 1);
+        assert_eq!(opts.disruptions.mule_breakdowns, 2);
+        assert_eq!(opts.disruptions.speed_windows, 1);
+        assert_eq!(opts.disruptions.speed_factor, 0.25);
         assert!(opts.no_replan);
     }
 
@@ -1409,7 +1231,7 @@ mod tests {
         let CliCommand::Sweep(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.base.targets, 12);
+        assert_eq!(opts.base.spec.targets, 12);
         assert_eq!(opts.seeds, vec![1, 2, 3]);
         assert_eq!(opts.mule_counts, vec![2, 4]);
         assert_eq!(opts.speeds, vec![1.5, 3.0]);
@@ -1546,9 +1368,9 @@ mod tests {
             panic!("expected bench-tours");
         };
         assert_eq!(opts, BenchToursOptions::default());
-        assert_eq!(opts.sizes, vec![50, 200, 1000, 5000]);
-        assert_eq!(opts.seed, 42);
-        assert_eq!(opts.exact_cap, 1000);
+        assert_eq!(opts.params.sizes, vec![50, 200, 1000, 5000]);
+        assert_eq!(opts.params.seed, 42);
+        assert_eq!(opts.params.exact_cap, 1000);
         assert!(opts.json_path.is_none());
         assert!(opts.max_ratio.is_none());
 
@@ -1560,11 +1382,11 @@ mod tests {
         let CliCommand::BenchTours(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.sizes, vec![50, 200]);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.k, 8);
-        assert_eq!(opts.exact_cap, 300);
-        assert_eq!(opts.samples, 2);
+        assert_eq!(opts.params.sizes, vec![50, 200]);
+        assert_eq!(opts.params.seed, 9);
+        assert_eq!(opts.params.k, 8);
+        assert_eq!(opts.params.exact_cap, 300);
+        assert_eq!(opts.params.samples, 2);
         assert_eq!(opts.json_path.as_deref(), Some("out.json"));
         assert_eq!(opts.max_ratio, Some(1.02));
     }
@@ -1598,9 +1420,9 @@ mod tests {
             panic!("expected bench-scale");
         };
         assert_eq!(opts, BenchScaleOptions::default());
-        assert_eq!(opts.sizes, vec![10_000, 100_000]);
-        assert_eq!(opts.seed, 42);
-        assert_eq!(opts.matrix_cap, 10_000);
+        assert_eq!(opts.params.sizes, vec![10_000, 100_000]);
+        assert_eq!(opts.params.seed, 42);
+        assert_eq!(opts.params.matrix_cap, 10_000);
         assert!(opts.json_path.is_none());
         assert!(opts.max_bytes_per_target.is_none());
         assert!(opts.max_ratio.is_none());
@@ -1614,11 +1436,11 @@ mod tests {
         let CliCommand::BenchScale(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.sizes, vec![2000, 5000]);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.k, 8);
-        assert_eq!(opts.matrix_cap, 3000);
-        assert_eq!(opts.samples, 2);
+        assert_eq!(opts.params.sizes, vec![2000, 5000]);
+        assert_eq!(opts.params.seed, 9);
+        assert_eq!(opts.params.k, 8);
+        assert_eq!(opts.params.matrix_cap, 3000);
+        assert_eq!(opts.params.samples, 2);
         assert_eq!(opts.json_path.as_deref(), Some("BENCH_scale.json"));
         assert_eq!(opts.max_bytes_per_target, Some(4096.0));
         assert_eq!(opts.max_ratio, Some(1.05));
@@ -1646,24 +1468,27 @@ mod tests {
     #[test]
     fn metric_flag_parses_on_scenario_subcommands() {
         use mule_workload::MetricSpec;
-        assert_eq!(CliOptions::default().metric, MetricSpec::Euclidean);
+        assert_eq!(CliOptions::default().spec.metric, MetricSpec::Euclidean);
         let CliCommand::Simulate(opts) = parse_args(&argv("simulate --metric road")).unwrap()
         else {
             panic!()
         };
-        assert_eq!(opts.metric, MetricSpec::Road(mule_road::RoadNetKind::Grid));
+        assert_eq!(
+            opts.spec.metric,
+            MetricSpec::Road(mule_road::RoadNetKind::Grid)
+        );
         let CliCommand::Plan(opts) = parse_args(&argv("plan --metric road-planar")).unwrap() else {
             panic!()
         };
         assert_eq!(
-            opts.metric,
+            opts.spec.metric,
             MetricSpec::Road(mule_road::RoadNetKind::Planar)
         );
         let CliCommand::Render(opts) = parse_args(&argv("render --metric EUCLIDEAN")).unwrap()
         else {
             panic!()
         };
-        assert_eq!(opts.metric, MetricSpec::Euclidean);
+        assert_eq!(opts.spec.metric, MetricSpec::Euclidean);
         assert!(matches!(
             parse_args(&argv("simulate --metric warp")).unwrap_err(),
             CliError::InvalidValue { flag, .. } if flag == "--metric"
@@ -1677,10 +1502,10 @@ mod tests {
             panic!("expected bench-routes");
         };
         assert_eq!(opts, BenchRoutesOptions::default());
-        assert_eq!(opts.sizes, vec![1000, 10000]);
-        assert_eq!(opts.seed, 42);
-        assert_eq!(opts.queries, 200);
-        assert_eq!(opts.landmarks, 8);
+        assert_eq!(opts.params.sizes, vec![1000, 10000]);
+        assert_eq!(opts.params.seed, 42);
+        assert_eq!(opts.params.queries, 200);
+        assert_eq!(opts.params.landmarks, 8);
         assert!(opts.json_path.is_none());
         assert!(opts.min_speedup.is_none());
 
@@ -1692,10 +1517,10 @@ mod tests {
         let CliCommand::BenchRoutes(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.sizes, vec![500, 2000]);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.queries, 50);
-        assert_eq!(opts.landmarks, 4);
+        assert_eq!(opts.params.sizes, vec![500, 2000]);
+        assert_eq!(opts.params.seed, 9);
+        assert_eq!(opts.params.queries, 50);
+        assert_eq!(opts.params.landmarks, 4);
         assert_eq!(opts.json_path.as_deref(), Some("BENCH_routes.json"));
         assert_eq!(opts.min_speedup, Some(3.0));
 
@@ -1718,26 +1543,26 @@ mod tests {
         else {
             panic!("expected plan");
         };
-        assert_eq!(opts.targets, 12);
-        assert_eq!(opts.mules, 3);
-        assert_eq!(opts.seed, 7);
-        assert_eq!(opts.planner, PlannerChoice::Chb);
+        assert_eq!(opts.spec.targets, 12);
+        assert_eq!(opts.spec.mules, 3);
+        assert_eq!(opts.spec.seed, 7);
+        assert_eq!(opts.spec.planner, PlannerKind::Chb.canonical_name());
         assert!(USAGE.contains("plan"));
     }
 
     #[test]
     fn canonical_planner_names_parse_back_to_the_same_choice() {
         for choice in [
-            PlannerChoice::BTctp,
-            PlannerChoice::WTctpShortest,
-            PlannerChoice::WTctpBalancing,
-            PlannerChoice::RwTctp,
-            PlannerChoice::Chb,
-            PlannerChoice::Sweep,
-            PlannerChoice::Random,
+            PlannerKind::BTctp,
+            PlannerKind::WTctpShortest,
+            PlannerKind::WTctpBalancing,
+            PlannerKind::RwTctp,
+            PlannerKind::Chb,
+            PlannerKind::Sweep,
+            PlannerKind::Random,
         ] {
             assert_eq!(
-                PlannerChoice::parse(choice.canonical_name()).unwrap(),
+                PlannerKind::parse(choice.canonical_name()).unwrap(),
                 choice,
                 "{}",
                 choice.canonical_name()
@@ -1751,7 +1576,7 @@ mod tests {
             panic!("expected serve");
         };
         assert_eq!(opts, ServeOptions::default());
-        assert_eq!(opts.addr, "127.0.0.1:7878");
+        assert_eq!(opts.config.addr, "127.0.0.1:7878");
 
         let cmd = parse_args(&argv(
             "serve --addr 0.0.0.0:9000 --workers 8 --cache-size 256 --queue-depth 32",
@@ -1760,10 +1585,10 @@ mod tests {
         let CliCommand::Serve(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.addr, "0.0.0.0:9000");
-        assert_eq!(opts.workers, 8);
-        assert_eq!(opts.cache_size, 256);
-        assert_eq!(opts.queue_depth, 32);
+        assert_eq!(opts.config.addr, "0.0.0.0:9000");
+        assert_eq!(opts.config.workers, 8);
+        assert_eq!(opts.config.cache_capacity, 256);
+        assert_eq!(opts.config.queue_depth, 32);
 
         // Worker/queue floors: zero would deadlock the daemon.
         let CliCommand::Serve(opts) =
@@ -1771,13 +1596,13 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(opts.workers, 1);
-        assert_eq!(opts.queue_depth, 1);
+        assert_eq!(opts.config.workers, 1);
+        assert_eq!(opts.config.queue_depth, 1);
         // Cache size zero is a legal "caching off" configuration.
         let CliCommand::Serve(opts) = parse_args(&argv("serve --cache-size 0")).unwrap() else {
             panic!()
         };
-        assert_eq!(opts.cache_size, 0);
+        assert_eq!(opts.config.cache_capacity, 0);
 
         assert!(matches!(
             parse_args(&argv("serve --targets 5")).unwrap_err(),
@@ -1792,9 +1617,9 @@ mod tests {
         // Everything off by default: the hardened paths must be opt-in so
         // the golden server bytes stay untouched.
         let defaults = ServeOptions::default();
-        assert!(defaults.deadline_ms.is_none());
-        assert!(defaults.breaker_threshold.is_none());
-        assert!(!defaults.degraded);
+        assert!(defaults.config.deadline.is_none());
+        assert!(defaults.config.breaker_threshold.is_none());
+        assert!(!defaults.config.degraded);
         assert!(defaults.fault_plan.is_none());
 
         let cmd = parse_args(&argv(
@@ -1805,10 +1630,10 @@ mod tests {
         let CliCommand::Serve(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.deadline_ms, Some(500));
-        assert_eq!(opts.breaker_threshold, Some(3));
-        assert_eq!(opts.breaker_cooldown_ms, 250);
-        assert!(opts.degraded);
+        assert_eq!(opts.config.deadline, Some(Duration::from_millis(500)));
+        assert_eq!(opts.config.breaker_threshold, Some(3));
+        assert_eq!(opts.config.breaker_cooldown, Duration::from_millis(250));
+        assert!(opts.config.degraded);
         assert_eq!(opts.fault_plan.as_deref(), Some("serve.plan=panic@0.2"));
         assert_eq!(opts.fault_seed, 99);
 
@@ -1819,9 +1644,9 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        assert_eq!(opts.deadline_ms, Some(1));
-        assert_eq!(opts.breaker_threshold, Some(1));
-        assert_eq!(opts.breaker_cooldown_ms, 1);
+        assert_eq!(opts.config.deadline, Some(Duration::from_millis(1)));
+        assert_eq!(opts.config.breaker_threshold, Some(1));
+        assert_eq!(opts.config.breaker_cooldown, Duration::from_millis(1));
         assert!(USAGE.contains("--fault-plan"));
         assert!(USAGE.contains("--breaker"));
         assert!(USAGE.contains("--degraded"));
@@ -1832,9 +1657,9 @@ mod tests {
         // Telemetry is opt-in: no debug surface, 1 % sampling, no SLO,
         // info-level logging by default.
         let defaults = ServeOptions::default();
-        assert!(!defaults.debug_endpoints);
-        assert_eq!(defaults.trace_sample, 0.01);
-        assert!(defaults.slo.is_none());
+        assert!(!defaults.config.debug_endpoints);
+        assert_eq!(defaults.config.trace_sample_rate, 0.01);
+        assert!(defaults.config.slo.is_none());
         assert_eq!(defaults.log_level, mule_obs::log::Severity::Info);
 
         let cmd = parse_args(&argv(
@@ -1845,9 +1670,9 @@ mod tests {
         let CliCommand::Serve(opts) = cmd else {
             panic!()
         };
-        assert!(opts.debug_endpoints);
-        assert_eq!(opts.trace_sample, 0.5);
-        let slo = opts.slo.unwrap();
+        assert!(opts.config.debug_endpoints);
+        assert_eq!(opts.config.trace_sample_rate, 0.5);
+        let slo = opts.config.slo.unwrap();
         assert_eq!(slo.p99_ms, Some(250.0));
         assert_eq!(slo.availability_pct, Some(99.9));
         assert_eq!(opts.log_level, mule_obs::log::Severity::Debug);
@@ -1874,9 +1699,9 @@ mod tests {
     #[test]
     fn loadgen_duration_warmup_and_slo_flags() {
         let defaults = LoadgenOptions::default();
-        assert!(defaults.duration_s.is_none());
-        assert_eq!(defaults.warmup, 0);
-        assert!(defaults.slo.is_none());
+        assert!(defaults.params.duration.is_none());
+        assert_eq!(defaults.params.warmup, 0);
+        assert!(defaults.params.slo.is_none());
 
         let cmd = parse_args(&argv(
             "loadgen --duration-s 30 --warmup 100 --slo p99_ms=250",
@@ -1885,15 +1710,18 @@ mod tests {
         let CliCommand::Loadgen(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.duration_s, Some(30.0));
-        assert_eq!(opts.warmup, 100);
-        assert_eq!(opts.slo.unwrap().p99_ms, Some(250.0));
+        assert_eq!(opts.params.duration, Some(Duration::from_secs(30)));
+        assert_eq!(opts.params.warmup, 100);
+        assert_eq!(opts.params.slo.unwrap().p99_ms, Some(250.0));
 
-        // A non-positive duration would spin forever or not at all.
-        assert!(matches!(
-            parse_args(&argv("loadgen --duration-s 0")).unwrap_err(),
-            CliError::InvalidValue { flag, .. } if flag == "--duration-s"
-        ));
+        // A non-positive duration would spin forever or not at all, and
+        // one no `Duration` can hold is rejected rather than panicking.
+        for bad in ["0", "inf", "1e300"] {
+            assert!(matches!(
+                parse_args(&argv(&format!("loadgen --duration-s {bad}"))).unwrap_err(),
+                CliError::InvalidValue { flag, .. } if flag == "--duration-s"
+            ));
+        }
         assert!(matches!(
             parse_args(&argv("loadgen --slo availability=250")).unwrap_err(),
             CliError::InvalidValue { flag, .. } if flag == "--slo"
@@ -1908,8 +1736,8 @@ mod tests {
             panic!("expected chaos");
         };
         assert_eq!(opts, ChaosOptions::default());
-        assert_eq!(opts.seed, 7);
-        assert_eq!(opts.requests, 40);
+        assert_eq!(opts.fault_seed, 7);
+        assert_eq!(opts.load.requests, 40);
 
         let cmd = parse_args(&argv(
             "chaos --seed 11 --requests 80 --spec-pool 2 --targets 8 --mules 3 \
@@ -1919,14 +1747,14 @@ mod tests {
         let CliCommand::Chaos(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.seed, 11);
-        assert_eq!(opts.requests, 80);
-        assert_eq!(opts.spec_pool, 2);
-        assert_eq!(opts.targets, 8);
-        assert_eq!(opts.mules, 3);
-        assert_eq!(opts.planner, PlannerChoice::Chb);
+        assert_eq!(opts.fault_seed, 11);
+        assert_eq!(opts.load.requests, 80);
+        assert_eq!(opts.load.spec_pool, 2);
+        assert_eq!(opts.load.base.targets, 8);
+        assert_eq!(opts.load.base.mules, 3);
+        assert_eq!(opts.load.base.planner, PlannerKind::Chb.canonical_name());
         assert_eq!(opts.fault_plan.as_deref(), Some("serve.plan=panic#2"));
-        assert_eq!(opts.deadline_ms, 300);
+        assert_eq!(opts.server.deadline, Some(Duration::from_millis(300)));
 
         assert!(matches!(
             parse_args(&argv("chaos --addr 127.0.0.1:1")).unwrap_err(),
@@ -1941,8 +1769,8 @@ mod tests {
             panic!("expected loadgen");
         };
         assert_eq!(opts, LoadgenOptions::default());
-        assert_eq!(opts.requests, 1000);
-        assert_eq!(opts.connections, 4);
+        assert_eq!(opts.params.requests, 1000);
+        assert_eq!(opts.params.connections, 4);
         assert!(opts.max_p99_ms.is_none());
 
         let cmd = parse_args(&argv(
@@ -1954,14 +1782,14 @@ mod tests {
         let CliCommand::Loadgen(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.addr, "127.0.0.1:7979");
-        assert_eq!(opts.requests, 2000);
-        assert_eq!(opts.connections, 8);
-        assert_eq!(opts.spec_pool, 16);
-        assert_eq!(opts.targets, 12);
-        assert_eq!(opts.mules, 3);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.planner, PlannerChoice::Chb);
+        assert_eq!(opts.params.addr, "127.0.0.1:7979");
+        assert_eq!(opts.params.requests, 2000);
+        assert_eq!(opts.params.connections, 8);
+        assert_eq!(opts.params.spec_pool, 16);
+        assert_eq!(opts.params.base.targets, 12);
+        assert_eq!(opts.params.base.mules, 3);
+        assert_eq!(opts.params.base.seed, 9);
+        assert_eq!(opts.params.base.planner, PlannerKind::Chb.canonical_name());
         assert_eq!(opts.json_path.as_deref(), Some("BENCH_server.json"));
         assert_eq!(opts.max_p99_ms, Some(250.0));
         assert_eq!(opts.min_rps, Some(50.0));
@@ -1969,8 +1797,8 @@ mod tests {
         let CliCommand::Loadgen(opts) = parse_args(&argv("loadgen --retries 0")).unwrap() else {
             panic!()
         };
-        assert_eq!(opts.retries, 0, "--retries 0 disables retrying");
-        assert_eq!(LoadgenOptions::default().retries, 3);
+        assert_eq!(opts.params.retry_budget, 0, "--retries 0 disables retrying");
+        assert_eq!(LoadgenOptions::default().params.retry_budget, 3);
 
         assert!(matches!(
             parse_args(&argv("loadgen --svg x.svg")).unwrap_err(),
@@ -2017,8 +1845,8 @@ mod tests {
         let CliCommand::Serve(opts) = parse_args(&argv("serve --slow-ms 250")).unwrap() else {
             panic!()
         };
-        assert_eq!(opts.slow_ms, Some(250.0));
-        assert!(ServeOptions::default().slow_ms.is_none());
+        assert_eq!(opts.config.slow_request_ms, Some(250.0));
+        assert!(ServeOptions::default().config.slow_request_ms.is_none());
 
         assert!(matches!(
             parse_args(&argv("plan --trace-out")).unwrap_err(),
@@ -2039,5 +1867,86 @@ mod tests {
         };
         assert_eq!(opts.svg_path.as_deref(), Some("plan.svg"));
         assert_eq!(opts.csv_prefix.as_deref(), Some("run1"));
+    }
+
+    #[test]
+    fn every_flag_takes_its_documented_default_on_each_subcommand_that_reads_it() {
+        for flag in FLAGS {
+            let mut reader_count = 0;
+            for &(sub, name, _, fresh) in &SUBCOMMANDS {
+                if flag.subs & sub == 0 {
+                    continue;
+                }
+                reader_count += 1;
+                // The documented default (or a plausible value when the flag
+                // is off by default) must parse on every subcommand listed.
+                let value = (flag.default)(&mut fresh()).unwrap_or_else(|| {
+                    match flag.usage.split(' ').nth(1) {
+                        Some("SPEC") => "p99_ms=250".to_string(),
+                        Some("FILE" | "PATH") => "out.txt".to_string(),
+                        _ => "3".to_string(),
+                    }
+                });
+                let mut args = vec![name.to_string(), flag.name().to_string()];
+                if flag.takes_value() {
+                    args.push(value.clone());
+                }
+                if flag.name() == "--knn" && sub & PLANNING != 0 {
+                    args.extend(["--search".to_string(), "candidates".to_string()]);
+                }
+                assert!(
+                    parse_args(&args).is_ok(),
+                    "`patrolctl {}` should parse",
+                    args.join(" ")
+                );
+            }
+            assert!(reader_count > 0, "{} is read by no subcommand", flag.usage);
+            assert!(USAGE.contains(flag.usage), "{} undocumented", flag.usage);
+        }
+    }
+
+    #[test]
+    fn flags_a_subcommand_never_reads_are_rejected() {
+        for cmdline in [
+            "plan --search exact",
+            "plan --knn 6",
+            "plan --svg x.svg",
+            "plan --csv x",
+            "plan --width 40",
+            "compare --planner chb",
+            "compare --svg x.svg",
+            "compare --csv x",
+            "compare --width 40",
+            "render --horizon 100",
+            "render --svg x.svg",
+            "render --csv x",
+            "dynamics --svg x.svg",
+            "dynamics --csv x",
+            "dynamics --width 40",
+            "sweep --svg x.svg",
+            "sweep --width 40",
+            "simulate --width 40",
+        ] {
+            let flag = cmdline.split(' ').nth(1).unwrap();
+            assert_eq!(
+                parse_args(&argv(cmdline)).unwrap_err(),
+                CliError::UnknownFlag(flag.to_string()),
+                "{cmdline}"
+            );
+        }
+    }
+
+    #[test]
+    fn horizons_no_simulation_can_run_are_rejected() {
+        for bad in ["inf", "-inf", "nan", "-5"] {
+            assert!(matches!(
+                parse_args(&argv(&format!("simulate --horizon {bad}"))).unwrap_err(),
+                CliError::InvalidValue { flag, .. } if flag == "--horizon"
+            ));
+        }
+        let CliCommand::Simulate(opts) = parse_args(&argv("simulate --horizon 0")).unwrap() else {
+            panic!()
+        };
+        assert_eq!(opts.spec.horizon_s, 0.0);
     }
 }

@@ -9,7 +9,7 @@ fn main() {
         Ok(cmd) => cmd,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", patrol_cli::args::USAGE);
+            eprintln!("{}", *patrol_cli::args::USAGE);
             std::process::exit(2);
         }
     };

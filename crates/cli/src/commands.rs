@@ -4,27 +4,22 @@
 //! written) instead of printing directly, so the logic is unit-testable.
 
 use crate::args::{
-    BenchRoutesOptions, BenchScaleOptions, BenchToursOptions, ChaosOptions, CliCommand, CliError,
-    CliOptions, DisruptionPreset, DynamicsOptions, LoadgenOptions, PlannerChoice, ServeOptions,
-    SweepOptions, USAGE,
+    BenchRoutesOptions, BenchScaleOptions, BenchToursOptions, ChaosOptions, CliCommand, CliOptions,
+    DisruptionPreset, DynamicsOptions, LoadgenOptions, ServeOptions, SweepOptions, USAGE,
 };
-use mule_bench::routebench::{run_route_bench, RouteBenchParams};
-use mule_bench::scalebench::{run_scale_bench, ScaleBenchParams};
-use mule_bench::tourbench::{run_tour_bench, tracing_overhead_ratio, TourBenchParams};
+use mule_bench::routebench::run_route_bench;
+use mule_bench::scalebench::run_scale_bench;
+use mule_bench::tourbench::{run_tour_bench, tracing_overhead_ratio};
 use mule_graph::ChbConfig;
 use mule_metrics::{
     DcdtSeries, EnergyEfficiencyReport, FairnessReport, IntervalReport, PhaseDelayReport,
     SweepReport, TextTable,
 };
-use mule_sim::{DynamicSimulation, Simulation, SimulationConfig, SimulationOutcome};
+use mule_serve::api::sim_config_for;
+use mule_sim::{DynamicSimulation, Simulation, SimulationOutcome};
 use mule_viz::{plan_to_svg, render_plan, render_scenario, SvgStyle};
-use mule_workload::{
-    DisruptionConfig, DisruptionPlan, Scenario, ScenarioConfig, ScenarioSpec, SweepSpec,
-};
-use patrol_core::baselines::{ChbPlanner, RandomPlanner, SweepPlanner};
-use patrol_core::{
-    BTctp, BreakEdgePolicy, PatrolPlan, PlanError, Planner, ReplanWithPlanner, RwTctp, WTctp,
-};
+use mule_workload::{DisruptionConfig, DisruptionPlan, Scenario, ScenarioSpec, SweepSpec};
+use patrol_core::{PatrolPlan, PlanError, PlannerKind, ReplanWithPlanner};
 
 /// Result of running a command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,13 +37,24 @@ impl CommandOutput {
             files_written: Vec::new(),
         }
     }
+
+    /// Writes the file a flag asked for, if any, and records its path.
+    fn write_requested(
+        &mut self,
+        path: Option<&String>,
+        contents: impl FnOnce() -> String,
+    ) -> std::io::Result<()> {
+        if let Some(path) = path {
+            std::fs::write(path, contents())?;
+            self.files_written.push(path.clone());
+        }
+        Ok(())
+    }
 }
 
 /// Errors a command can produce.
 #[derive(Debug)]
 pub enum CommandError {
-    /// Argument-level problem.
-    Cli(CliError),
     /// The selected planner rejected the scenario.
     Plan(PlanError),
     /// A file could not be written.
@@ -60,7 +66,6 @@ pub enum CommandError {
 impl std::fmt::Display for CommandError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CommandError::Cli(e) => write!(f, "{e}"),
             CommandError::Plan(e) => write!(f, "planning failed: {e}"),
             CommandError::Io(e) => write!(f, "i/o error: {e}"),
             CommandError::Check(msg) => write!(f, "check failed: {msg}"),
@@ -82,80 +87,22 @@ impl From<std::io::Error> for CommandError {
     }
 }
 
-/// The service-layer scenario spec the CLI options describe. This is the
-/// single source of truth for flag → scenario mapping: both the offline
-/// commands (via [`build_scenario_config`]) and the serving path
-/// (`patrolctl plan`, `loadgen`, the server) build their scenarios from a
-/// [`ScenarioSpec`], so the two front ends cannot drift.
-pub fn spec_from_options(options: &CliOptions) -> ScenarioSpec {
-    ScenarioSpec {
-        targets: options.targets,
-        mules: options.mules,
-        seed: options.seed,
-        vips: options.vips,
-        vip_weight: options.vip_weight,
-        recharge: options.recharge,
-        planner: options.planner.canonical_name().to_string(),
-        horizon_s: options.horizon_s,
-        metric: options.metric,
-    }
-}
-
-/// Builds the scenario configuration described by the CLI options.
-pub fn build_scenario_config(options: &CliOptions) -> ScenarioConfig {
-    spec_from_options(options).scenario_config()
-}
-
-/// Builds the scenario described by the CLI options.
-pub fn build_scenario(options: &CliOptions) -> Scenario {
-    build_scenario_config(options).generate()
-}
-
-/// The simulation configuration the CLI options imply: full energy
-/// accounting only when a recharge station is present, pure timing
-/// otherwise.
-fn sim_config_for(options: &CliOptions) -> SimulationConfig {
-    if options.recharge {
-        SimulationConfig::default()
-    } else {
-        SimulationConfig::timing_only()
-    }
-}
-
 /// The circuit-construction configuration the CLI options imply: default
 /// pass budgets with the selected tour-search mode.
 pub fn chb_config_for(options: &CliOptions) -> ChbConfig {
     ChbConfig::default().with_search(options.search.to_mode(options.knn))
 }
 
-/// Instantiates the planner selected on the command line with the default
-/// circuit construction.
-pub fn build_planner(choice: PlannerChoice) -> Box<dyn Planner> {
-    build_planner_with(choice, ChbConfig::default())
-}
-
-/// Instantiates the planner selected on the command line, threading the
-/// circuit-construction configuration (pass budgets + search mode) through
-/// to every planner that builds a Hamiltonian circuit. The Random baseline
-/// plans no circuit and ignores it.
-pub fn build_planner_with(choice: PlannerChoice, chb: ChbConfig) -> Box<dyn Planner> {
-    match choice {
-        PlannerChoice::BTctp => Box::new(BTctp::new().with_chb(chb)),
-        PlannerChoice::WTctpShortest => {
-            Box::new(WTctp::new(BreakEdgePolicy::ShortestLength).with_chb(chb))
-        }
-        PlannerChoice::WTctpBalancing => {
-            Box::new(WTctp::new(BreakEdgePolicy::BalancingLength).with_chb(chb))
-        }
-        PlannerChoice::RwTctp => Box::new(RwTctp::default().with_chb(chb)),
-        PlannerChoice::Chb => Box::new(ChbPlanner::new().with_chb(chb)),
-        PlannerChoice::Sweep => Box::new(SweepPlanner::new().with_chb(chb)),
-        PlannerChoice::Random => Box::new(RandomPlanner::new()),
-    }
+/// The planner the options' spec names; a hand-built spec may name one
+/// that does not exist, which fails like it does on the service.
+fn planner_kind(options: &CliOptions) -> Result<PlannerKind, CommandError> {
+    let name = &options.spec.planner;
+    PlannerKind::parse(name).ok_or_else(|| CommandError::Check(format!("unknown planner `{name}`")))
 }
 
 fn simulate(scenario: &Scenario, plan: &PatrolPlan, options: &CliOptions) -> SimulationOutcome {
-    Simulation::with_config(scenario, plan, sim_config_for(options)).run_for(options.horizon_s)
+    Simulation::with_config(scenario, plan, sim_config_for(&options.spec))
+        .run_for(options.spec.horizon_s)
 }
 
 fn metrics_text(plan: &PatrolPlan, outcome: &SimulationOutcome) -> String {
@@ -164,51 +111,40 @@ fn metrics_text(plan: &PatrolPlan, outcome: &SimulationOutcome) -> String {
     let energy = EnergyEfficiencyReport::from_outcome(outcome);
     let fairness = FairnessReport::from_outcome(outcome);
 
-    let mut out = String::new();
-    out.push_str(&format!(
-        "planner: {}\ncycle length: {:.0} m (longest itinerary)\n",
+    format!(
+        "planner: {}\ncycle length: {:.0} m (longest itinerary)\n\
+         visits: {}  distance: {:.1} km  delivered: {:.1} kB\n\
+         visiting interval: max {:.1} s  mean {:.1} s  avg per-target SD {:.2} s\n\
+         DCDT (post warm-up): mean {:.1} s  max {:.1} s\n\
+         fairness: coverage {:.3}  fleet balance {:.3}\n\
+         energy: total {:.0} J  useful fraction {:.2}  recharges {}  fleet survived: {}\n",
         plan.planner_name,
-        plan.max_cycle_length()
-    ));
-    out.push_str(&format!(
-        "visits: {}  distance: {:.1} km  delivered: {:.1} kB\n",
+        plan.max_cycle_length(),
         outcome.total_visits(),
         outcome.total_distance_m() / 1000.0,
-        outcome.total_delivered_bytes() / 1000.0
-    ));
-    out.push_str(&format!(
-        "visiting interval: max {:.1} s  mean {:.1} s  avg per-target SD {:.2} s\n",
+        outcome.total_delivered_bytes() / 1000.0,
         intervals.max_interval(),
         intervals.mean_interval(),
-        intervals.average_sd()
-    ));
-    out.push_str(&format!(
-        "DCDT (post warm-up): mean {:.1} s  max {:.1} s\n",
+        intervals.average_sd(),
         dcdt.average_dcdt(2),
-        dcdt.max_dcdt(2)
-    ));
-    out.push_str(&format!(
-        "fairness: coverage {:.3}  fleet balance {:.3}\n",
-        fairness.coverage_fairness, fairness.fleet_balance
-    ));
-    out.push_str(&format!(
-        "energy: total {:.0} J  useful fraction {:.2}  recharges {}  fleet survived: {}\n",
+        dcdt.max_dcdt(2),
+        fairness.coverage_fairness,
+        fairness.fleet_balance,
         energy.total_energy_j,
         energy.useful_fraction(),
         energy.recharges,
         energy.fleet_survived()
-    ));
-    out
+    )
 }
 
 fn run_render(options: &CliOptions) -> Result<CommandOutput, CommandError> {
-    let scenario = build_scenario(options);
-    let planner = build_planner_with(options.planner, chb_config_for(options));
+    let scenario = options.spec.scenario_config().generate();
+    let planner = planner_kind(options)?.build(chb_config_for(options));
     let width = options.canvas_width.clamp(20, 200);
     let height = width / 2;
     let mut text = format!(
         "scenario: {} targets, {} mules, seed {}\n\n",
-        options.targets, options.mules, options.seed
+        options.spec.targets, options.spec.mules, options.spec.seed
     );
     // Road scenarios get a network summary plus travel-metric
     // connectivity: two geometrically close targets separated by deleted
@@ -237,30 +173,24 @@ fn run_render(options: &CliOptions) -> Result<CommandOutput, CommandError> {
     }
     text.push_str(&render_scenario(&scenario, width, height));
     text.push_str("\n\n");
-    match planner.plan(&scenario) {
-        Ok(plan) => {
-            text.push_str(&format!("{} route:\n", plan.planner_name));
-            text.push_str(&render_plan(&scenario, &plan, width, height));
-            text.push('\n');
-        }
-        Err(e) => return Err(e.into()),
-    }
+    let plan = planner.plan(&scenario)?;
+    text.push_str(&format!("{} route:\n", plan.planner_name));
+    text.push_str(&render_plan(&scenario, &plan, width, height));
+    text.push('\n');
     Ok(CommandOutput::text_only(text))
 }
 
 fn run_simulate(options: &CliOptions) -> Result<CommandOutput, CommandError> {
-    let scenario = build_scenario(options);
-    let planner = build_planner_with(options.planner, chb_config_for(options));
+    let scenario = options.spec.scenario_config().generate();
+    let planner = planner_kind(options)?.build(chb_config_for(options));
     let plan = planner.plan(&scenario)?;
     let outcome = simulate(&scenario, &plan, options);
 
     let mut output = CommandOutput::text_only(metrics_text(&plan, &outcome));
 
-    if let Some(svg_path) = &options.svg_path {
-        let svg = plan_to_svg(&scenario, &plan, &SvgStyle::default());
-        std::fs::write(svg_path, svg)?;
-        output.files_written.push(svg_path.clone());
-    }
+    output.write_requested(options.svg_path.as_ref(), || {
+        plan_to_svg(&scenario, &plan, &SvgStyle::default())
+    })?;
     if let Some(prefix) = &options.csv_prefix {
         let (visits, mules) = mule_sim::write_csv_files(&outcome, std::path::Path::new(prefix))?;
         output
@@ -274,20 +204,14 @@ fn run_simulate(options: &CliOptions) -> Result<CommandOutput, CommandError> {
 }
 
 fn run_compare(options: &CliOptions) -> Result<CommandOutput, CommandError> {
-    let scenario = build_scenario(options);
-    let mut choices = vec![
-        PlannerChoice::Random,
-        PlannerChoice::Sweep,
-        PlannerChoice::Chb,
-        PlannerChoice::BTctp,
-    ];
-    if options.vips > 0 {
-        choices.push(PlannerChoice::WTctpShortest);
-        choices.push(PlannerChoice::WTctpBalancing);
-    }
-    if options.recharge {
-        choices.push(PlannerChoice::RwTctp);
-    }
+    let scenario = options.spec.scenario_config().generate();
+    // The weighted planners only differ from B-TCTP with VIPs, and RW-TCTP
+    // needs a recharge station.
+    let choices = PlannerKind::ALL.into_iter().filter(|kind| match kind {
+        PlannerKind::WTctpShortest | PlannerKind::WTctpBalancing => options.spec.vips > 0,
+        PlannerKind::RwTctp => options.spec.recharge,
+        _ => true,
+    });
 
     let mut table = TextTable::new(vec![
         "planner",
@@ -298,7 +222,7 @@ fn run_compare(options: &CliOptions) -> Result<CommandOutput, CommandError> {
         "survived",
     ]);
     for choice in choices {
-        let planner = build_planner_with(choice, chb_config_for(options));
+        let planner = choice.build(chb_config_for(options));
         let plan = match planner.plan(&scenario) {
             Ok(p) => p,
             Err(e) => {
@@ -323,44 +247,41 @@ fn run_compare(options: &CliOptions) -> Result<CommandOutput, CommandError> {
 
 fn run_dynamics(options: &DynamicsOptions) -> Result<CommandOutput, CommandError> {
     let base = &options.base;
-    let scenario = build_scenario(base);
+    let spec = &base.spec;
+    let scenario = spec.scenario_config().generate();
     let disruption_config = DisruptionConfig {
-        seed: base.seed,
-        horizon_s: base.horizon_s,
-        target_failures: options.fail_targets,
-        recover_after_s: options.recover_after_s,
-        late_arrivals: options.late_targets,
-        mule_breakdowns: options.breakdowns,
-        speed_windows: options.speed_windows,
-        speed_factor: options.speed_factor,
+        seed: spec.seed,
+        horizon_s: spec.horizon_s,
+        ..options.disruptions
     };
     let disruptions = DisruptionPlan::seeded(&scenario, &disruption_config);
 
     // Plan on the world as it looks at t = 0: late-arriving targets are
     // not yet known to the planner, so they are excluded until their
     // arrival triggers a replan.
-    let planner = build_planner_with(base.planner, chb_config_for(base));
+    let kind = planner_kind(base)?;
+    let planner = kind.build(chb_config_for(base));
     let initial_world = scenario.restricted(
         &disruptions.late_target_ids(),
         scenario.mule_starts().to_vec(),
     );
     let plan = planner.plan(&initial_world)?;
 
-    let sim_config = sim_config_for(base);
-    let replanner = ReplanWithPlanner::new(build_planner_with(base.planner, chb_config_for(base)));
+    let sim_config = sim_config_for(spec);
+    let replanner = ReplanWithPlanner::new(kind.build(chb_config_for(base)));
     let mut sim = DynamicSimulation::new(&scenario, &plan, &disruptions).with_config(sim_config);
     if !options.no_replan {
         sim = sim.with_replanner(&replanner);
     }
-    let result = sim.run_for(base.horizon_s);
+    let result = sim.run_for(spec.horizon_s);
 
     let mut text = format!(
         "dynamic scenario: {} targets, {} mules, seed {}, horizon {:.0} s\n\
          planner: {}  replanning: {}\n\n",
-        base.targets,
-        base.mules,
-        base.seed,
-        base.horizon_s,
+        spec.targets,
+        spec.mules,
+        spec.seed,
+        spec.horizon_s,
         plan.planner_name,
         if options.no_replan { "off" } else { "on" },
     );
@@ -382,12 +303,8 @@ fn run_dynamics(options: &DynamicsOptions) -> Result<CommandOutput, CommandError
     text.push_str(&phases.to_table().render());
     text.push('\n');
 
-    let survivors = result
-        .outcome
-        .mules
-        .iter()
-        .filter(|m| m.status.survived())
-        .count();
+    let mules = &result.outcome.mules;
+    let survivors = mules.iter().filter(|m| m.status.survived()).count();
     text.push_str(&format!(
         "visits: {}  replans: {}  events fired: {}\n\
          overall mean delay: {:.1} s  surviving mules: {}/{}\n",
@@ -396,7 +313,7 @@ fn run_dynamics(options: &DynamicsOptions) -> Result<CommandOutput, CommandError
         result.events_fired,
         phases.overall_mean_delay_s(),
         survivors,
-        result.outcome.mules.len(),
+        mules.len(),
     ));
     Ok(CommandOutput::text_only(text))
 }
@@ -415,7 +332,7 @@ fn preset_to_config(preset: DisruptionPreset, horizon_s: f64) -> Option<Disrupti
 
 fn run_sweep(options: &SweepOptions) -> Result<CommandOutput, CommandError> {
     let base = &options.base;
-    let spec = SweepSpec::new(build_scenario_config(base))
+    let spec = SweepSpec::new(base.spec.scenario_config())
         .with_seeds(options.seeds.clone())
         .with_mule_counts(options.mule_counts.clone())
         .with_speeds(options.speeds.clone())
@@ -423,23 +340,22 @@ fn run_sweep(options: &SweepOptions) -> Result<CommandOutput, CommandError> {
             options
                 .disruptions
                 .iter()
-                .map(|&p| preset_to_config(p, base.horizon_s))
+                .map(|&p| preset_to_config(p, base.spec.horizon_s))
                 .collect(),
         )
         .with_replicas(options.replicas)
-        .with_horizon(base.horizon_s);
+        .with_horizon(base.spec.horizon_s);
 
-    let sim_config = sim_config_for(base);
-    let choice = base.planner;
+    let sim_config = sim_config_for(&base.spec);
+    let choice = planner_kind(base)?;
     let chb = chb_config_for(base);
-    let factory = move || build_planner_with(choice, chb);
+    let factory = move || choice.build(chb);
     let cells = mule_sim::run_sweep(&factory, &spec, &sim_config, options.workers);
     let report = SweepReport::from_cells(&cells);
 
     let workers_label = options
         .workers
-        .map(|w| w.to_string())
-        .unwrap_or_else(|| "auto".to_string());
+        .map_or("auto".to_string(), |w| w.to_string());
     let mut text = format!(
         "sweep: {} cells × {} replicas = {} runs\n\
          planner: {}  horizon: {:.0} s  workers: {}\n\n",
@@ -460,22 +376,13 @@ fn run_sweep(options: &SweepOptions) -> Result<CommandOutput, CommandError> {
     }
 
     let mut output = CommandOutput::text_only(text);
-    if let Some(path) = &base.csv_prefix {
-        std::fs::write(path, report.to_csv())?;
-        output.files_written.push(path.clone());
-    }
+    output.write_requested(base.csv_prefix.as_ref(), || report.to_csv())?;
     Ok(output)
 }
 
 fn run_bench_tours(options: &BenchToursOptions) -> Result<CommandOutput, CommandError> {
-    let params = TourBenchParams {
-        sizes: options.sizes.clone(),
-        seed: options.seed,
-        k: options.k,
-        exact_cap: options.exact_cap,
-        samples: options.samples,
-    };
-    let report = run_tour_bench(&params);
+    let params = &options.params;
+    let report = run_tour_bench(params);
 
     let mut text = format!(
         "tour engine benchmark: seed {}  k {}  exact cap {}  samples {}\n\n",
@@ -484,10 +391,7 @@ fn run_bench_tours(options: &BenchToursOptions) -> Result<CommandOutput, Command
     text.push_str(&report.to_table().render());
 
     let mut output = CommandOutput::text_only(text);
-    if let Some(path) = &options.json_path {
-        std::fs::write(path, report.to_json())?;
-        output.files_written.push(path.clone());
-    }
+    output.write_requested(options.json_path.as_ref(), || report.to_json())?;
 
     // One traced candidates run at the largest size feeds `--trace-out`
     // and `--profile`; the timed measurements above stay untraced.
@@ -502,32 +406,26 @@ fn run_bench_tours(options: &BenchToursOptions) -> Result<CommandOutput, Command
         });
         mule_obs::alloc::disarm();
         if options.profile {
+            let table = mule_obs::FlatProfile::of(&trace).to_table();
             output
                 .text
-                .push_str(&format!("\nself-time profile (n={n}):\n"));
-            output
-                .text
-                .push_str(&mule_obs::FlatProfile::of(&trace).to_table());
+                .push_str(&format!("\nself-time profile (n={n}):\n{table}"));
         }
-        if let Some(path) = &options.trace_out {
-            std::fs::write(path, mule_obs::chrome_trace_json(&trace))?;
-            output.files_written.push(path.clone());
-        }
+        output.write_requested(options.trace_out.as_ref(), || {
+            mule_obs::chrome_trace_json(&trace)
+        })?;
     }
 
     // The regression gates run *after* the JSON is written so a failing
     // run still leaves the artefact around for diagnosis.
-    if let Some(bound) = options.max_ratio {
-        if let Some(worst) = report.max_len_ratio() {
-            if worst > bound {
-                return Err(CommandError::Check(format!(
-                    "tour-length ratio {worst:.4} exceeds --max-ratio {bound}"
-                )));
-            }
-        }
-    }
+    gate(
+        report.max_len_ratio(),
+        options.max_ratio,
+        f64::gt,
+        |worst, bound| format!("tour-length ratio {worst:.4} exceeds --max-ratio {bound}"),
+    )?;
     if let Some(bound) = options.overhead_gate {
-        let ratio = tracing_overhead_ratio(&params);
+        let ratio = tracing_overhead_ratio(params);
         output
             .text
             .push_str(&format!("\ntracing overhead: {ratio:.3}× (gate {bound})\n"));
@@ -541,13 +439,8 @@ fn run_bench_tours(options: &BenchToursOptions) -> Result<CommandOutput, Command
 }
 
 fn run_bench_routes(options: &BenchRoutesOptions) -> Result<CommandOutput, CommandError> {
-    let params = RouteBenchParams {
-        sizes: options.sizes.clone(),
-        seed: options.seed,
-        queries: options.queries,
-        landmarks: options.landmarks,
-    };
-    let report = run_route_bench(&params);
+    let params = &options.params;
+    let report = run_route_bench(params);
 
     let mut text = format!(
         "road routing benchmark: seed {}  queries {}  landmarks {}\n\n",
@@ -556,34 +449,24 @@ fn run_bench_routes(options: &BenchRoutesOptions) -> Result<CommandOutput, Comma
     text.push_str(&report.to_table().render());
 
     let mut output = CommandOutput::text_only(text);
-    if let Some(path) = &options.json_path {
-        std::fs::write(path, report.to_json())?;
-        output.files_written.push(path.clone());
-    }
+    output.write_requested(options.json_path.as_ref(), || report.to_json())?;
 
     // Like `bench-tours`, the gate runs *after* the JSON is written so a
     // failing run still leaves the artefact around for diagnosis.
-    if let Some(bound) = options.min_speedup {
-        if let Some(speedup) = report.largest_alt_speedup() {
-            if speedup < bound {
-                return Err(CommandError::Check(format!(
-                    "ALT speedup {speedup:.2}× below --min-speedup {bound} at the largest size"
-                )));
-            }
-        }
-    }
+    gate(
+        report.largest_alt_speedup(),
+        options.min_speedup,
+        f64::lt,
+        |speedup, bound| {
+            format!("ALT speedup {speedup:.2}× below --min-speedup {bound} at the largest size")
+        },
+    )?;
     Ok(output)
 }
 
 fn run_bench_scale(options: &BenchScaleOptions) -> Result<CommandOutput, CommandError> {
-    let params = ScaleBenchParams {
-        sizes: options.sizes.clone(),
-        seed: options.seed,
-        k: options.k,
-        matrix_cap: options.matrix_cap,
-        samples: options.samples,
-    };
-    let report = run_scale_bench(&params);
+    let params = &options.params;
+    let report = run_scale_bench(params);
 
     let mut text = format!(
         "memory-scale benchmark: seed {}  k {}  matrix cap {}  samples {}\n\n",
@@ -592,32 +475,47 @@ fn run_bench_scale(options: &BenchScaleOptions) -> Result<CommandOutput, Command
     text.push_str(&report.to_table().render());
 
     let mut output = CommandOutput::text_only(text);
-    if let Some(path) = &options.json_path {
-        std::fs::write(path, report.to_json())?;
-        output.files_written.push(path.clone());
-    }
+    output.write_requested(options.json_path.as_ref(), || report.to_json())?;
 
     // Like `bench-tours`, the gates run *after* the JSON is written so a
     // failing run still leaves the artefact around for diagnosis.
-    if let Some(bound) = options.max_bytes_per_target {
-        let worst = report.max_bytes_per_target();
-        if worst > bound {
-            return Err(CommandError::Check(format!(
+    let footprint = Some(report.max_bytes_per_target());
+    gate(
+        footprint,
+        options.max_bytes_per_target,
+        f64::gt,
+        |worst, bound| {
+            format!(
                 "matrix-free footprint {worst:.1} bytes/target exceeds \
                  --max-bytes-per-target {bound}"
-            )));
-        }
-    }
-    if let Some(bound) = options.max_ratio {
-        if let Some(worst) = report.max_len_ratio() {
-            if worst > bound {
-                return Err(CommandError::Check(format!(
-                    "matrix-free/matrix tour-length ratio {worst:.4} exceeds --max-ratio {bound}"
-                )));
-            }
-        }
-    }
+            )
+        },
+    )?;
+    gate(
+        report.max_len_ratio(),
+        options.max_ratio,
+        f64::gt,
+        |worst, bound| {
+            format!("matrix-free/matrix tour-length ratio {worst:.4} exceeds --max-ratio {bound}")
+        },
+    )?;
     Ok(output)
+}
+
+/// A regression gate: fails with `message(value, bound)` when a bound was
+/// given, the value was measured, and `fails(value, bound)`.
+fn gate(
+    value: Option<f64>,
+    bound: Option<f64>,
+    fails: fn(&f64, &f64) -> bool,
+    message: impl FnOnce(f64, f64) -> String,
+) -> Result<(), CommandError> {
+    match (value, bound) {
+        (Some(value), Some(bound)) if fails(&value, &bound) => {
+            Err(CommandError::Check(message(value, bound)))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Maps a service-layer error onto the command error taxonomy.
@@ -632,8 +530,7 @@ fn api_error(e: mule_serve::ApiError) -> CommandError {
 /// flags — byte-identical to what a server answers on `POST /v1/plan`
 /// for the same spec (the CI smoke job diffs the two).
 fn run_plan(options: &CliOptions) -> Result<CommandOutput, CommandError> {
-    let spec = spec_from_options(options);
-    let json = mule_serve::plan_response_json(&spec).map_err(api_error)?;
+    let json = mule_serve::plan_response_json(&options.spec).map_err(api_error)?;
     Ok(CommandOutput::text_only(json))
 }
 
@@ -656,28 +553,14 @@ fn run_serve(options: &ServeOptions) -> Result<CommandOutput, CommandError> {
         );
         mule_fault::arm(plan);
     }
-    let config = mule_serve::ServerConfig {
-        addr: options.addr.clone(),
-        workers: options.workers,
-        cache_capacity: options.cache_size,
-        queue_depth: options.queue_depth,
-        slow_request_ms: options.slow_ms,
-        deadline: options.deadline_ms.map(std::time::Duration::from_millis),
-        breaker_threshold: options.breaker_threshold,
-        breaker_cooldown: std::time::Duration::from_millis(options.breaker_cooldown_ms),
-        degraded: options.degraded,
-        debug_endpoints: options.debug_endpoints,
-        trace_sample_rate: options.trace_sample,
-        slo: options.slo.clone(),
-        ..mule_serve::ServerConfig::default()
-    };
-    let server = mule_serve::start(config)?;
+    let config = &options.config;
+    let server = mule_serve::start(config.clone())?;
     emit(
         LogEvent::new(Severity::Info, "serve.listening")
             .field("addr", server.addr().to_string())
-            .field("workers", options.workers)
-            .field("debug_endpoints", options.debug_endpoints)
-            .field("slo", options.slo.is_some()),
+            .field("workers", config.workers)
+            .field("debug_endpoints", config.debug_endpoints)
+            .field("slo", config.slo.is_some()),
     );
     loop {
         std::thread::park();
@@ -687,56 +570,27 @@ fn run_serve(options: &ServeOptions) -> Result<CommandOutput, CommandError> {
 /// `patrolctl loadgen`: drive a running server and report/gate the
 /// results.
 fn run_loadgen(options: &LoadgenOptions) -> Result<CommandOutput, CommandError> {
-    let base = ScenarioSpec {
-        targets: options.targets,
-        mules: options.mules,
-        seed: options.seed,
-        planner: options.planner.canonical_name().to_string(),
-        ..ScenarioSpec::default()
-    };
-    let params = mule_serve::LoadgenParams {
-        addr: options.addr.clone(),
-        requests: options.requests,
-        duration: options.duration_s.map(std::time::Duration::from_secs_f64),
-        warmup: options.warmup,
-        slo: options.slo.clone(),
-        connections: options.connections,
-        spec_pool: options.spec_pool,
-        base,
-        retry_budget: options.retries,
-        ..mule_serve::LoadgenParams::default()
-    };
-    let report = mule_serve::run_loadgen(&params);
+    let report = mule_serve::run_loadgen(&options.params);
 
     let mut output = CommandOutput::text_only(report.render());
-    if let Some(path) = &options.json_path {
-        std::fs::write(path, report.to_json())?;
-        output.files_written.push(path.clone());
-    }
+    output.write_requested(options.json_path.as_ref(), || report.to_json())?;
 
     // Gates run after the artefact is written, like `bench-tours`.
     if report.ok == 0 {
         return Err(CommandError::Check(format!(
             "no request succeeded against {} ({} errors) — is the server up?",
-            options.addr, report.errors
+            options.params.addr, report.errors
         )));
     }
-    if let Some(bound) = options.max_p99_ms {
-        let p99 = report.p99_ms();
-        if p99 > bound {
-            return Err(CommandError::Check(format!(
-                "p99 latency {p99:.2} ms exceeds --max-p99 {bound} ms"
-            )));
-        }
-    }
-    if let Some(bound) = options.min_rps {
-        if report.rps < bound {
-            return Err(CommandError::Check(format!(
-                "throughput {:.1} req/s below --min-rps {bound}",
-                report.rps
-            )));
-        }
-    }
+    gate(
+        Some(report.p99_ms()),
+        options.max_p99_ms,
+        f64::gt,
+        |p99, bound| format!("p99 latency {p99:.2} ms exceeds --max-p99 {bound} ms"),
+    )?;
+    gate(Some(report.rps), options.min_rps, f64::lt, |rps, bound| {
+        format!("throughput {rps:.1} req/s below --min-rps {bound}")
+    })?;
     Ok(output)
 }
 
@@ -839,18 +693,11 @@ fn run_chaos_drill(
     if let Some(plan) = plan {
         mule_fault::arm(plan);
     }
-    let config = mule_serve::ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        deadline: Some(std::time::Duration::from_millis(options.deadline_ms)),
-        degraded: true,
-        ..mule_serve::ServerConfig::default()
-    };
-    let server = mule_serve::start(config)?;
+    let server = mule_serve::start(options.server.clone())?;
     let addr = server.addr();
 
     let mut out = DrillOutcome::default();
-    for i in 0..options.requests {
+    for i in 0..options.load.requests {
         let k = i % bodies.len();
         match chaos_request(&addr, &bodies[k]) {
             None => out.dropped += 1,
@@ -932,12 +779,12 @@ fn run_chaos_drill(
     // one root `request` span per parsed request.
     let requests_total = prom_sum(&prometheus, "mule_requests_total");
     let span_requests = prom_sum(&prometheus, "mule_span_total{span=\"request\"}");
-    let parsed = (options.requests - read_io) as u64;
+    let parsed = (options.load.requests - read_io) as u64;
     if requests_total != parsed {
         violations.push(format!(
             "request accounting: server counted {requests_total}, expected {parsed} \
              ({} sent − {read_io} read-faulted)",
-            options.requests
+            options.load.requests
         ));
     }
     if span_requests != requests_total {
@@ -958,20 +805,17 @@ fn run_chaos(options: &ChaosOptions) -> Result<CommandOutput, CommandError> {
         .fault_plan
         .clone()
         .unwrap_or_else(|| DEFAULT_CHAOS_PLAN.to_string());
-    let plan = mule_fault::FaultPlan::parse(options.seed, &plan_spec)
+    let plan = mule_fault::FaultPlan::parse(options.fault_seed, &plan_spec)
         .map_err(|e| CommandError::Check(format!("--fault-plan: {e}")))?;
 
     // The golden bytes, computed offline: what every spec in the pool
     // must answer when a request for it succeeds, faults or not.
     let mut bodies = Vec::new();
     let mut expected = Vec::new();
-    for k in 0..options.spec_pool {
+    for k in 0..options.load.spec_pool {
         let spec = ScenarioSpec {
-            targets: options.targets,
-            mules: options.mules,
             seed: 1 + k as u64,
-            planner: options.planner.canonical_name().to_string(),
-            ..ScenarioSpec::default()
+            ..options.load.base.clone()
         };
         expected.push(
             mule_serve::plan_response_json(&spec)
@@ -1006,10 +850,10 @@ fn run_chaos(options: &ChaosOptions) -> Result<CommandOutput, CommandError> {
     if !calm.firings.is_empty() {
         violations.push(format!("disarmed run fired {} faults", calm.firings.len()));
     }
-    if calm.ok_fresh != options.requests {
+    if calm.ok_fresh != options.load.requests {
         violations.push(format!(
             "disarmed run degraded: {} of {} requests answered 200 fresh",
-            calm.ok_fresh, options.requests
+            calm.ok_fresh, options.load.requests
         ));
     }
 
@@ -1019,8 +863,8 @@ fn run_chaos(options: &ChaosOptions) -> Result<CommandOutput, CommandError> {
          ({} faults fired)\n\
          rerun:    firing sequence identical ({} firings)\n\
          disarmed: {} ok, 0 faults — byte-identical to the golden bytes\n",
-        options.requests,
-        options.seed,
+        options.load.requests,
+        options.fault_seed,
         first.ok_fresh,
         first.stale,
         first.gateway_timeout_504,
@@ -1042,72 +886,43 @@ fn run_chaos(options: &ChaosOptions) -> Result<CommandOutput, CommandError> {
     }
 }
 
-/// Runs `f` under a captured trace when `--trace-out` / `--profile` was
-/// given, writing the Chrome trace file and/or appending the self-time
-/// profile table to the output. The counting allocator is armed around
-/// the capture, so the profile's alloc columns are populated and the
-/// Chrome trace carries the `heap_peak_live_bytes` counter track. With
-/// neither flag the command runs untraced and disarmed, so default
-/// output stays byte-identical (the golden tests pin it).
+/// Runs `f` under a captured trace, with the counting allocator armed,
+/// when `--trace-out` / `--profile` was given: writes the Chrome trace
+/// and/or appends the self-time profile. With neither flag the command
+/// runs untraced and disarmed, so default output stays byte-identical.
 fn with_tracing(
-    trace_out: Option<&str>,
-    profile: bool,
+    options: &CliOptions,
     f: impl FnOnce() -> Result<CommandOutput, CommandError>,
 ) -> Result<CommandOutput, CommandError> {
-    if trace_out.is_none() && !profile {
+    if options.trace_out.is_none() && !options.profile {
         return f();
     }
     mule_obs::alloc::arm();
     let (result, trace) = mule_obs::capture(f);
     mule_obs::alloc::disarm();
     let mut output = result?;
-    if profile {
-        output.text.push_str("\nself-time profile:\n");
+    if options.profile {
+        let table = mule_obs::FlatProfile::of(&trace).to_table();
         output
             .text
-            .push_str(&mule_obs::FlatProfile::of(&trace).to_table());
+            .push_str(&format!("\nself-time profile:\n{table}"));
     }
-    if let Some(path) = trace_out {
-        std::fs::write(path, mule_obs::chrome_trace_json(&trace))?;
-        output.files_written.push(path.to_string());
-    }
+    output.write_requested(options.trace_out.as_ref(), || {
+        mule_obs::chrome_trace_json(&trace)
+    })?;
     Ok(output)
 }
 
 /// Executes a parsed command.
 pub fn run_command(command: &CliCommand) -> Result<CommandOutput, CommandError> {
     match command {
-        CliCommand::Help => Ok(CommandOutput::text_only(USAGE.to_string())),
-        CliCommand::Render(options) => {
-            with_tracing(options.trace_out.as_deref(), options.profile, || {
-                run_render(options)
-            })
-        }
-        CliCommand::Plan(options) => {
-            with_tracing(options.trace_out.as_deref(), options.profile, || {
-                run_plan(options)
-            })
-        }
-        CliCommand::Simulate(options) => {
-            with_tracing(options.trace_out.as_deref(), options.profile, || {
-                run_simulate(options)
-            })
-        }
-        CliCommand::Compare(options) => {
-            with_tracing(options.trace_out.as_deref(), options.profile, || {
-                run_compare(options)
-            })
-        }
-        CliCommand::Dynamics(options) => with_tracing(
-            options.base.trace_out.as_deref(),
-            options.base.profile,
-            || run_dynamics(options),
-        ),
-        CliCommand::Sweep(options) => with_tracing(
-            options.base.trace_out.as_deref(),
-            options.base.profile,
-            || run_sweep(options),
-        ),
+        CliCommand::Help => Ok(CommandOutput::text_only(USAGE.clone())),
+        CliCommand::Render(options) => with_tracing(options, || run_render(options)),
+        CliCommand::Plan(options) => with_tracing(options, || run_plan(options)),
+        CliCommand::Simulate(options) => with_tracing(options, || run_simulate(options)),
+        CliCommand::Compare(options) => with_tracing(options, || run_compare(options)),
+        CliCommand::Dynamics(options) => with_tracing(&options.base, || run_dynamics(options)),
+        CliCommand::Sweep(options) => with_tracing(&options.base, || run_sweep(options)),
         CliCommand::BenchTours(options) => run_bench_tours(options),
         CliCommand::BenchRoutes(options) => run_bench_routes(options),
         CliCommand::BenchScale(options) => run_bench_scale(options),
@@ -1120,13 +935,19 @@ pub fn run_command(command: &CliCommand) -> Result<CommandOutput, CommandError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mule_bench::routebench::RouteBenchParams;
+    use mule_bench::scalebench::ScaleBenchParams;
+    use mule_bench::tourbench::TourBenchParams;
 
     fn options() -> CliOptions {
         CliOptions {
-            targets: 8,
-            mules: 3,
-            seed: 4,
-            horizon_s: 15_000.0,
+            spec: ScenarioSpec {
+                targets: 8,
+                mules: 3,
+                seed: 4,
+                horizon_s: 15_000.0,
+                ..ScenarioSpec::default()
+            },
             ..CliOptions::default()
         }
     }
@@ -1206,9 +1027,9 @@ mod tests {
     #[test]
     fn simulate_with_rwtctp_needs_and_gets_a_station() {
         let mut opts = options();
-        opts.planner = PlannerChoice::RwTctp;
-        opts.recharge = true;
-        opts.vips = 1;
+        opts.spec.planner = "rw-tctp".into();
+        opts.spec.recharge = true;
+        opts.spec.vips = 1;
         let out = run_command(&CliCommand::Simulate(opts)).unwrap();
         assert!(out.text.contains("RW-TCTP"));
         assert!(out.text.contains("fleet survived: true"));
@@ -1242,7 +1063,7 @@ mod tests {
         // Weighted planners only appear when VIPs are requested.
         assert!(!out.text.contains("W-TCTP"));
         let mut with_vips = options();
-        with_vips.vips = 2;
+        with_vips.spec.vips = 2;
         let out2 = run_command(&CliCommand::Compare(with_vips)).unwrap();
         assert!(out2.text.contains("W-TCTP (shortest)"));
     }
@@ -1251,9 +1072,12 @@ mod tests {
     fn dynamics_reports_timeline_phases_and_summary() {
         let opts = DynamicsOptions {
             base: options(),
-            fail_targets: 1,
-            breakdowns: 1,
-            recover_after_s: Some(4_000.0),
+            disruptions: DisruptionConfig {
+                target_failures: 1,
+                mule_breakdowns: 1,
+                recover_after_s: Some(4_000.0),
+                ..DisruptionConfig::default()
+            },
             ..DynamicsOptions::default()
         };
         let out = run_command(&CliCommand::Dynamics(opts)).unwrap();
@@ -1282,10 +1106,13 @@ mod tests {
     fn dynamics_is_deterministic_across_runs_with_the_same_seed() {
         let opts = DynamicsOptions {
             base: options(),
-            fail_targets: 2,
-            breakdowns: 1,
-            late_targets: 1,
-            speed_windows: 1,
+            disruptions: DisruptionConfig {
+                target_failures: 2,
+                mule_breakdowns: 1,
+                late_arrivals: 1,
+                speed_windows: 1,
+                ..DisruptionConfig::default()
+            },
             ..DynamicsOptions::default()
         };
         let a = run_command(&CliCommand::Dynamics(opts.clone())).unwrap();
@@ -1293,7 +1120,7 @@ mod tests {
         assert_eq!(a, b, "same seed must reproduce the same report");
         let other_seed = DynamicsOptions {
             base: CliOptions {
-                seed: 99,
+                spec: opts.base.spec.clone().with_seed(99),
                 ..opts.base.clone()
             },
             ..opts
@@ -1317,8 +1144,11 @@ mod tests {
     fn sweep_options() -> SweepOptions {
         SweepOptions {
             base: CliOptions {
-                targets: 6,
-                horizon_s: 5_000.0,
+                spec: ScenarioSpec {
+                    targets: 6,
+                    horizon_s: 5_000.0,
+                    ..ScenarioSpec::default()
+                },
                 ..CliOptions::default()
             },
             seeds: vec![1, 2],
@@ -1389,16 +1219,14 @@ mod tests {
 
     fn bench_tours_options() -> BenchToursOptions {
         BenchToursOptions {
-            sizes: vec![20, 40],
-            seed: 5,
-            k: 8,
-            exact_cap: 40,
-            samples: 1,
-            json_path: None,
-            max_ratio: None,
-            overhead_gate: None,
-            trace_out: None,
-            profile: false,
+            params: TourBenchParams {
+                sizes: vec![20, 40],
+                seed: 5,
+                k: 8,
+                exact_cap: 40,
+                samples: 1,
+            },
+            ..BenchToursOptions::default()
         }
     }
 
@@ -1443,12 +1271,13 @@ mod tests {
 
     fn bench_routes_options() -> BenchRoutesOptions {
         BenchRoutesOptions {
-            sizes: vec![100, 400],
-            seed: 5,
-            queries: 30,
-            landmarks: 4,
-            json_path: None,
-            min_speedup: None,
+            params: RouteBenchParams {
+                sizes: vec![100, 400],
+                seed: 5,
+                queries: 30,
+                landmarks: 4,
+            },
+            ..BenchRoutesOptions::default()
         }
     }
 
@@ -1473,14 +1302,14 @@ mod tests {
 
     fn bench_scale_options() -> BenchScaleOptions {
         BenchScaleOptions {
-            sizes: vec![200, 500],
-            seed: 5,
-            k: 8,
-            matrix_cap: 400,
-            samples: 1,
-            json_path: None,
-            max_bytes_per_target: None,
-            max_ratio: None,
+            params: ScaleBenchParams {
+                sizes: vec![200, 500],
+                seed: 5,
+                k: 8,
+                matrix_cap: 400,
+                samples: 1,
+            },
+            ..BenchScaleOptions::default()
         }
     }
 
@@ -1545,10 +1374,7 @@ mod tests {
     #[test]
     fn road_metric_threads_from_flags_to_plans_and_simulations() {
         let mut opts = options();
-        opts.metric = mule_workload::MetricSpec::Road(mule_road::RoadNetKind::Grid);
-        // The spec carries the metric, so `plan` and the server agree.
-        let spec = spec_from_options(&opts);
-        assert_eq!(spec.metric, opts.metric);
+        opts.spec.metric = mule_workload::MetricSpec::Road(mule_road::RoadNetKind::Grid);
         let out = run_command(&CliCommand::Plan(opts.clone())).unwrap();
         assert!(out.text.contains("\"metric\": \"road-grid\""));
         assert!(out.text.contains("\"path\""), "road geometry in response");
@@ -1568,7 +1394,7 @@ mod tests {
     #[test]
     fn render_reports_the_road_network_and_its_connectivity() {
         let mut opts = options();
-        opts.metric = mule_workload::MetricSpec::Road(mule_road::RoadNetKind::Grid);
+        opts.spec.metric = mule_workload::MetricSpec::Road(mule_road::RoadNetKind::Grid);
         let out = run_command(&CliCommand::Render(opts)).unwrap();
         assert!(out.text.contains("road network (road-grid):"));
         assert!(out.text.contains("patrolled connectivity"));
@@ -1598,34 +1424,18 @@ mod tests {
     }
 
     #[test]
-    fn spec_from_options_mirrors_the_scenario_mapping() {
-        let mut opts = options();
-        opts.vips = 2;
-        opts.vip_weight = 3;
-        opts.recharge = true;
-        opts.planner = PlannerChoice::RwTctp;
-        let spec = spec_from_options(&opts);
-        assert_eq!(spec.targets, 8);
-        assert_eq!(spec.planner, "rw-tctp");
-        assert_eq!(spec.horizon_s, 15_000.0);
-        // The config built through the spec is the config the offline
-        // commands use — one mapping, two front ends.
-        assert_eq!(spec.scenario_config(), build_scenario_config(&opts));
-    }
-
-    #[test]
     fn plan_prints_the_service_response_document() {
         let out = run_command(&CliCommand::Plan(options())).unwrap();
         assert!(out.files_written.is_empty());
         // Byte-identical to the service-layer computation for the same
         // spec — the contract the CI smoke job diffs over HTTP.
-        let expected = mule_serve::plan_response_json(&spec_from_options(&options())).unwrap();
+        let expected = mule_serve::plan_response_json(&options().spec).unwrap();
         assert_eq!(out.text, expected);
         assert!(out.text.contains("\"schema\": \"plan-response/v1\""));
         assert!(out.text.ends_with('\n'));
 
         let mut bad = options();
-        bad.mules = 0;
+        bad.spec.mules = 0;
         let err = run_command(&CliCommand::Plan(bad)).unwrap_err();
         assert!(err.to_string().contains("planning failed"));
     }
@@ -1633,9 +1443,12 @@ mod tests {
     #[test]
     fn loadgen_against_a_dead_address_fails_the_gate() {
         let opts = LoadgenOptions {
-            addr: "127.0.0.1:1".to_string(),
-            requests: 4,
-            connections: 2,
+            params: mule_serve::LoadgenParams {
+                addr: "127.0.0.1:1".to_string(),
+                requests: 4,
+                connections: 2,
+                ..mule_serve::LoadgenParams::default()
+            },
             ..LoadgenOptions::default()
         };
         let err = run_command(&CliCommand::Loadgen(opts)).unwrap_err();
@@ -1645,7 +1458,7 @@ mod tests {
     #[test]
     fn planning_errors_surface_as_command_errors() {
         let mut opts = options();
-        opts.mules = 0;
+        opts.spec.mules = 0;
         let err = run_command(&CliCommand::Simulate(opts)).unwrap_err();
         assert!(err.to_string().contains("planning failed"));
     }

@@ -1,17 +1,20 @@
-//! Pins `patrolctl plan` output byte-for-byte on every branch of the CHB
+//! Pins `patrolctl` output byte-for-byte on every branch of the CHB
 //! construction pipeline, not only the exact one `golden_euclidean.rs`
 //! covers.
 //!
 //! Each case drives one combination of seed and neighbourhood:
 //!
 //! * matrix-free candidate lists (Euclidean, `Auto` above the threshold,
-//!   and an explicit `--search candidates --knn`);
+//!   and an explicit `--search candidates --knn` on `simulate` — `plan`
+//!   always builds the service's default construction and rejects the
+//!   search flags);
 //! * matrix candidate lists (road metric above the threshold);
 //! * the exact pipeline on a road matrix;
 //! * the Sweep baseline's per-group circuits on both metrics.
 //!
 //! The FNV-1a-64 hashes were captured before the three CHB pipelines were
-//! folded into one; a refactor of the construction must leave them alone.
+//! folded into one (the `simulate` case before the flag parser was folded
+//! into one table); a refactor must leave them alone.
 //! (An intentional, reviewed output change may re-pin them, with the diff
 //! in hand.)
 
@@ -33,12 +36,15 @@ fn argv(s: &str) -> Vec<String> {
 }
 
 fn assert_pinned(flags: &str, expected: u64) {
-    let cmdline = format!("plan {flags}");
-    let out = run_command(&parse_args(&argv(&cmdline)).unwrap()).unwrap();
+    assert_pinned_command(&format!("plan {flags}"), expected);
+}
+
+fn assert_pinned_command(cmdline: &str, expected: u64) {
+    let out = run_command(&parse_args(&argv(cmdline)).unwrap()).unwrap();
     let got = fnv1a(out.text.as_bytes());
     assert_eq!(
         got, expected,
-        "`patrolctl plan {flags}` drifted: got {got:#018x}"
+        "`patrolctl {cmdline}` drifted: got {got:#018x}"
     );
 }
 
@@ -49,9 +55,9 @@ fn auto_above_threshold_runs_matrix_free_candidates() {
 
 #[test]
 fn explicit_candidate_search_is_pinned() {
-    assert_pinned(
-        "--targets 60 --mules 3 --seed 9 --search candidates --knn 6",
-        0x334a_aede_7357_dc0b,
+    assert_pinned_command(
+        "simulate --targets 60 --mules 3 --seed 9 --search candidates --knn 6",
+        0xb7c5_1a72_14ca_e2f9,
     );
 }
 

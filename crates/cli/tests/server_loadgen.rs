@@ -6,7 +6,8 @@
 //! `plan_prints_the_service_response_document`.)
 
 use mule_serve::json::{parse, JsonValue};
-use mule_serve::ServerConfig;
+use mule_serve::{LoadgenParams, ServerConfig};
+use mule_workload::ScenarioSpec;
 use patrol_cli::args::LoadgenOptions;
 use patrol_cli::{run_command, CliCommand};
 use std::time::Duration;
@@ -31,24 +32,29 @@ fn loadgen_drives_a_thousand_requests_and_writes_the_benchmark() {
     let json_path = dir.join("BENCH_server.json").to_string_lossy().into_owned();
 
     let options = LoadgenOptions {
-        addr: server.addr().to_string(),
-        requests: 1000,
-        connections: 4,
-        spec_pool: 4,
-        targets: 8,
-        mules: 3,
-        seed: 1,
+        params: LoadgenParams {
+            addr: server.addr().to_string(),
+            requests: 1000,
+            connections: 4,
+            spec_pool: 4,
+            base: ScenarioSpec {
+                targets: 8,
+                mules: 3,
+                seed: 1,
+                ..ScenarioSpec::default()
+            },
+            warmup: 10,
+            slo: Some(mule_obs::SloSpec {
+                p99_ms: Some(60_000.0),
+                availability_pct: Some(99.0),
+            }),
+            ..LoadgenParams::default()
+        },
         json_path: Some(json_path.clone()),
         // Generous gates: the run must pass them on any machine; the
         // failing-gate paths are tested separately below.
         max_p99_ms: Some(60_000.0),
         min_rps: Some(1.0),
-        warmup: 10,
-        slo: Some(mule_obs::SloSpec {
-            p99_ms: Some(60_000.0),
-            availability_pct: Some(99.0),
-        }),
-        ..LoadgenOptions::default()
     };
     let out = run_command(&CliCommand::Loadgen(options)).expect("loadgen run");
 
@@ -138,11 +144,17 @@ fn loadgen_drives_a_thousand_requests_and_writes_the_benchmark() {
 fn loadgen_gates_fail_on_impossible_bounds() {
     let server = start_server();
     let base = LoadgenOptions {
-        addr: server.addr().to_string(),
-        requests: 40,
-        connections: 4,
-        targets: 8,
-        mules: 3,
+        params: LoadgenParams {
+            addr: server.addr().to_string(),
+            requests: 40,
+            connections: 4,
+            base: ScenarioSpec {
+                targets: 8,
+                mules: 3,
+                ..ScenarioSpec::default()
+            },
+            ..LoadgenParams::default()
+        },
         ..LoadgenOptions::default()
     };
 

@@ -45,7 +45,7 @@ pub mod wtctp;
 
 pub use btctp::BTctp;
 pub use plan::{MuleItinerary, PatrolPlan, PlanError, Waypoint};
-pub use planner::Planner;
+pub use planner::{Planner, PlannerKind};
 pub use replan::{ReplanContext, ReplanWithPlanner, Replanner};
 pub use rwtctp::RwTctp;
 pub use wtctp::{BreakEdgePolicy, WTctp};

@@ -13,8 +13,7 @@
 use crate::json::{parse, JsonValue};
 use mule_sim::SimulationConfig;
 use mule_workload::{MetricSpec, ScenarioSpec, SweepSpec};
-use patrol_core::baselines::{ChbPlanner, RandomPlanner, SweepPlanner};
-use patrol_core::{BTctp, BreakEdgePolicy, PlanError, Planner, RwTctp, WTctp};
+use patrol_core::{PlanError, Planner, PlannerKind};
 use std::fmt;
 
 /// Schema tag of `/v1/plan` responses.
@@ -67,21 +66,11 @@ impl From<PlanError> for ApiError {
     }
 }
 
-/// The planner names the API accepts, with the same aliases as the
-/// `patrolctl --planner` flag.
+/// Instantiates the planner a spec names, resolved through the shared
+/// [`PlannerKind`] registry (canonical names and `patrolctl --planner`
+/// aliases alike).
 pub fn build_planner(name: &str) -> Option<Box<dyn Planner>> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "b-tctp" | "btctp" | "tctp" => Box::new(BTctp::new()),
-        "w-tctp" | "wtctp" | "w-tctp-shortest" | "shortest" => {
-            Box::new(WTctp::new(BreakEdgePolicy::ShortestLength))
-        }
-        "w-tctp-balancing" | "balancing" => Box::new(WTctp::new(BreakEdgePolicy::BalancingLength)),
-        "rw-tctp" | "rwtctp" => Box::new(RwTctp::default()),
-        "chb" => Box::new(ChbPlanner::new()),
-        "sweep" => Box::new(SweepPlanner::new()),
-        "random" => Box::new(RandomPlanner::new()),
-        _ => return None,
-    })
+    PlannerKind::parse(name).map(|kind| kind.build(Default::default()))
 }
 
 /// Renders a spec as its JSON document (field order fixed, so equal specs
@@ -195,7 +184,7 @@ fn validate_spec(spec: &ScenarioSpec) -> Result<(), ApiError> {
             "`mules` exceeds the service limit of {MAX_SPEC_MULES}"
         )));
     }
-    if !spec.horizon_s.is_finite() || spec.horizon_s < 0.0 || spec.horizon_s > MAX_SPEC_HORIZON_S {
+    if !ScenarioSpec::valid_horizon(spec.horizon_s) || spec.horizon_s > MAX_SPEC_HORIZON_S {
         return Err(ApiError::BadRequest(format!(
             "`horizon_s` must be a finite number in [0, {MAX_SPEC_HORIZON_S:?}]"
         )));
@@ -204,9 +193,9 @@ fn validate_spec(spec: &ScenarioSpec) -> Result<(), ApiError> {
 }
 
 /// The simulation configuration a spec implies: full energy accounting
-/// only when a recharge station exists, pure timing otherwise (the same
-/// rule `patrolctl simulate` applies).
-fn sim_config_for(spec: &ScenarioSpec) -> SimulationConfig {
+/// only when a recharge station exists, pure timing otherwise. The
+/// `patrolctl` simulation subcommands apply it too.
+pub fn sim_config_for(spec: &ScenarioSpec) -> SimulationConfig {
     if spec.recharge {
         SimulationConfig::default()
     } else {

@@ -63,7 +63,7 @@ pub struct ScenarioSpec {
 }
 
 impl Default for ScenarioSpec {
-    /// Matches `patrolctl`'s scenario-flag defaults.
+    /// These are also `patrolctl`'s scenario-flag defaults.
     fn default() -> Self {
         ScenarioSpec {
             targets: 10,
@@ -80,6 +80,13 @@ impl Default for ScenarioSpec {
 }
 
 impl ScenarioSpec {
+    /// Whether `horizon_s` is a usable simulation horizon: a finite,
+    /// non-negative number of seconds. `patrolctl --horizon` and the
+    /// service's spec validation both apply this rule.
+    pub fn valid_horizon(horizon_s: f64) -> bool {
+        horizon_s.is_finite() && horizon_s >= 0.0
+    }
+
     /// Builder-style override of the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
