@@ -92,3 +92,16 @@ fn sweep_baseline_road_runs_matrix_candidates_per_group() {
         0xfbbb_cc47_c780_e835,
     );
 }
+
+#[test]
+fn benchmark_size_euclidean_plan_is_pinned() {
+    assert_pinned("--targets 2000 --mules 8 --seed 3", 0x15a3_e2b5_cf0f_3a0f);
+}
+
+#[test]
+fn benchmark_size_road_plan_is_pinned() {
+    assert_pinned(
+        "--targets 800 --mules 4 --metric road-grid --seed 3",
+        0x4edf_24fd_074c_b8c7,
+    );
+}
