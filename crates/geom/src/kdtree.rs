@@ -8,6 +8,8 @@
 
 use crate::bbox::BoundingBox;
 use crate::point::Point;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A static (build-once) kd-tree over a set of points.
 #[derive(Debug, Clone)]
@@ -189,21 +191,141 @@ impl KdTree {
     }
 
     /// `k` nearest neighbours of `query` (fewer when the tree is smaller),
-    /// sorted by increasing distance. Brute-force over pruned candidates is
-    /// avoided by running `k` successive filtered nearest queries; `k` is
-    /// small everywhere this is used (mule counts ≤ 10 in the paper).
+    /// sorted by increasing distance. Ties break by the order in which the
+    /// descent visits the points, so the list is exactly what `k` successive
+    /// [`nearest_filtered`](Self::nearest_filtered) calls, each excluding
+    /// the hits before it, would return — duplicates included.
     pub fn k_nearest(&self, query: &Point, k: usize) -> Vec<(usize, f64)> {
-        let mut found: Vec<(usize, f64)> = Vec::with_capacity(k);
-        while found.len() < k {
-            let taken: Vec<usize> = found.iter().map(|(i, _)| *i).collect();
-            match self.nearest_filtered(query, |i| !taken.contains(&i)) {
-                Some(hit) => found.push(hit),
-                None => break,
+        let mut out = Vec::with_capacity(k.min(self.size));
+        self.k_nearest_into(query, k, &mut KnnHeap::default(), &mut out);
+        out
+    }
+
+    /// [`k_nearest`](Self::k_nearest) into a caller-owned buffer: `out` is
+    /// cleared and refilled, and `heap` is scratch space. A caller querying
+    /// many points reuses both, so a query allocates nothing once they have
+    /// grown to `k`.
+    ///
+    /// One descent in the same child order as
+    /// [`nearest_filtered`](Self::nearest_filtered) keeps the best `k`
+    /// points seen in a bounded max-heap keyed by (squared distance, visit
+    /// order), pruning subtrees strictly farther than the heap's worst.
+    pub fn k_nearest_into(
+        &self,
+        query: &Point,
+        k: usize,
+        heap: &mut KnnHeap,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        out.clear();
+        heap.entries.clear();
+        heap.visited = 0;
+        if k == 0 {
+            return;
+        }
+        if let Some(root) = self.root {
+            let root_d2 = self.nodes[root].bbox.distance_squared_to(query);
+            self.k_nearest_recursive(root, root_d2, query, k, heap);
+        }
+        // Sort in place and hand the buffer back, keeping its capacity.
+        let mut sorted = std::mem::take(&mut heap.entries).into_sorted_vec();
+        out.extend(sorted.iter().map(|e| (e.index, e.d2.sqrt())));
+        sorted.clear();
+        heap.entries = BinaryHeap::from(sorted);
+    }
+
+    /// `node_d2` is the squared distance from `query` to the node's
+    /// bounding box, computed once by the caller.
+    fn k_nearest_recursive(
+        &self,
+        node_idx: usize,
+        node_d2: f64,
+        query: &Point,
+        k: usize,
+        heap: &mut KnnHeap,
+    ) {
+        // Every point of the true k nearest lies no farther than the heap's
+        // worst, so its subtree is never pruned (ties are not pruned).
+        if heap.entries.len() == k && heap.entries.peek().is_some_and(|w| node_d2 > w.d2) {
+            return;
+        }
+        let node = &self.nodes[node_idx];
+        heap.offer(node.point.distance_squared(query), node.index, k);
+        let child_d2 =
+            |c: Option<usize>| c.map(|c| (c, self.nodes[c].bbox.distance_squared_to(query)));
+        let (mut first, mut second) = (child_d2(node.left), child_d2(node.right));
+        // The child order of `nearest_recursive`: the right child first
+        // only when both exist and it is strictly closer.
+        if let (Some((_, dl)), Some((_, dr))) = (first, second) {
+            if dr < dl {
+                std::mem::swap(&mut first, &mut second);
             }
         }
-        found
+        for (child, d2) in [first, second].into_iter().flatten() {
+            self.k_nearest_recursive(child, d2, query, k, heap);
+        }
     }
 }
+
+/// Scratch space for [`KdTree::k_nearest_into`]: the bounded max-heap of
+/// the best points seen so far, reusable across queries.
+#[derive(Debug, Clone, Default)]
+pub struct KnnHeap {
+    entries: BinaryHeap<KnnEntry>,
+    /// Points offered in the current descent, the tie-break key.
+    visited: usize,
+}
+
+impl KnnHeap {
+    /// Offers the next visited point; keeps it if it is among the best `k`.
+    /// A later visit never beats an equal distance, so a full heap takes
+    /// only strictly closer points.
+    fn offer(&mut self, d2: f64, index: usize, k: usize) {
+        let entry = KnnEntry {
+            d2,
+            visit: self.visited,
+            index,
+        };
+        self.visited += 1;
+        if self.entries.len() < k {
+            self.entries.push(entry);
+        } else if let Some(mut worst) = self.entries.peek_mut() {
+            if d2 < worst.d2 {
+                *worst = entry;
+            }
+        }
+    }
+}
+
+/// A heap entry, ordered by (squared distance, visit order).
+#[derive(Debug, Clone, Copy)]
+struct KnnEntry {
+    d2: f64,
+    visit: usize,
+    index: usize,
+}
+
+impl Ord for KnnEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.d2
+            .total_cmp(&other.d2)
+            .then(self.visit.cmp(&other.visit))
+    }
+}
+
+impl PartialOrd for KnnEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for KnnEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for KnnEntry {}
 
 #[cfg(test)]
 mod tests {

@@ -39,7 +39,7 @@ pub use angle::{ccw_included_angle, normalize_angle, Bearing};
 pub use bbox::BoundingBox;
 pub use grid::UniformGrid;
 pub use hull::{convex_hull, hull_diameter, is_convex_polygon, point_in_convex_polygon};
-pub use kdtree::KdTree;
+pub use kdtree::{KdTree, KnnHeap};
 pub use point::Point;
 pub use polyline::Polyline;
 pub use segment::Segment;

@@ -5,7 +5,7 @@
 
 use mule_geom::{
     ccw_included_angle, convex_hull, hull, is_convex_polygon, normalize_angle,
-    point_in_convex_polygon, polyline::northmost_index, KdTree, Point, Polyline, Segment,
+    point_in_convex_polygon, polyline::northmost_index, KdTree, KnnHeap, Point, Polyline, Segment,
     UniformGrid,
 };
 use proptest::prelude::*;
@@ -16,6 +16,30 @@ fn field_point() -> impl Strategy<Value = Point> {
 
 fn field_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(field_point(), min..=max)
+}
+
+/// Points on a 6 × 6 integer grid: with up to 40 of them, exact distance
+/// ties and duplicate points are the norm, not the exception.
+fn grid_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
+    prop::collection::vec(
+        (0u8..6, 0u8..6).prop_map(|(x, y)| Point::new(f64::from(x), f64::from(y))),
+        min..=max,
+    )
+}
+
+/// The k-nearest query as it was before the single-descent heap: `k`
+/// successive `nearest_filtered` calls, each excluding the hits before it.
+/// Kept as the oracle the one-descent version must match exactly.
+fn k_nearest_by_repeated_descents(tree: &KdTree, query: &Point, k: usize) -> Vec<(usize, f64)> {
+    let mut found: Vec<(usize, f64)> = Vec::with_capacity(k);
+    while found.len() < k {
+        let taken: Vec<usize> = found.iter().map(|(i, _)| *i).collect();
+        match tree.nearest_filtered(query, |i| !taken.contains(&i)) {
+            Some(hit) => found.push(hit),
+            None => break,
+        }
+    }
+    found
 }
 
 proptest! {
@@ -177,5 +201,40 @@ proptest! {
         let r = p.rotated_to_start(start);
         prop_assert!((p.length() - r.length()).abs() <= 1e-6);
         prop_assert_eq!(p.len(), r.len());
+    }
+
+    #[test]
+    fn k_nearest_matches_repeated_descents_on_tied_grids(
+        points in grid_points(1, 40),
+        qx in 0u8..11,
+        qy in 0u8..11,
+    ) {
+        // Half-grid queries put some queries on points, others between them.
+        let q = Point::new(f64::from(qx) / 2.0, f64::from(qy) / 2.0);
+        let tree = KdTree::build(&points);
+        let mut heap = KnnHeap::default();
+        let mut reused = Vec::new();
+        for k in 1..=points.len() + 1 {
+            let want = k_nearest_by_repeated_descents(&tree, &q, k);
+            prop_assert_eq!(tree.k_nearest(&q, k), want.clone());
+            tree.k_nearest_into(&q, k, &mut heap, &mut reused);
+            prop_assert_eq!(&reused, &want);
+
+            let mut brute: Vec<f64> = points.iter().map(|p| p.distance(&q)).collect();
+            brute.sort_by(f64::total_cmp);
+            brute.truncate(k);
+            let got: Vec<f64> = want.iter().map(|&(_, d)| d).collect();
+            prop_assert_eq!(got, brute);
+        }
+    }
+
+    #[test]
+    fn k_nearest_matches_repeated_descents_in_the_field(
+        points in field_points(1, 60),
+        q in field_point(),
+        k in 1usize..12,
+    ) {
+        let tree = KdTree::build(&points);
+        prop_assert_eq!(tree.k_nearest(&q, k), k_nearest_by_repeated_descents(&tree, &q, k));
     }
 }

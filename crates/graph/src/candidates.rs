@@ -30,7 +30,7 @@
 
 use crate::distance_matrix::DistanceMatrix;
 use crate::tour::Tour;
-use mule_geom::{KdTree, Point};
+use mule_geom::{KdTree, KnnHeap, Point};
 
 /// Acceptance threshold shared with the exact local searches: a move must
 /// shorten the tour by more than this to be applied, which guards against
@@ -78,10 +78,12 @@ impl SearchDist for &DistanceMatrix {
 /// Per-point k-nearest-neighbour candidate lists, sorted by distance.
 #[derive(Debug, Clone)]
 pub struct CandidateLists {
-    /// `lists[i]` holds the indices of the k nearest neighbours of point
-    /// `i` (excluding `i` itself), nearest first.
-    lists: Vec<Vec<u32>>,
+    /// The `n` lists back to back, `k` entries each: point `i`'s k nearest
+    /// neighbours (excluding `i` itself), nearest first, at
+    /// `flat[i * k..(i + 1) * k]`.
+    flat: Vec<u32>,
     k: usize,
+    n: usize,
 }
 
 impl CandidateLists {
@@ -90,28 +92,24 @@ impl CandidateLists {
     pub fn build(points: &[Point], k: usize) -> Self {
         let n = points.len();
         let k = k.min(n.saturating_sub(1));
-        if k == 0 {
-            return CandidateLists {
-                lists: vec![Vec::new(); n],
-                k,
-            };
-        }
-        let tree = KdTree::build(points);
-        let lists = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
+        let mut flat = Vec::with_capacity(n * k);
+        if k > 0 {
+            let tree = KdTree::build(points);
+            let mut heap = KnnHeap::default();
+            let mut hits = Vec::with_capacity(k + 1);
+            for (i, p) in points.iter().enumerate() {
                 // Query k+1 and drop the point itself (duplicates of `p` at
                 // other indices are legitimate candidates).
-                tree.k_nearest(p, k + 1)
-                    .into_iter()
-                    .filter(|&(j, _)| j != i)
-                    .take(k)
-                    .map(|(j, _)| j as u32)
-                    .collect()
-            })
-            .collect();
-        CandidateLists { lists, k }
+                tree.k_nearest_into(p, k + 1, &mut heap, &mut hits);
+                flat.extend(
+                    hits.iter()
+                        .filter(|&&(j, _)| j != i)
+                        .take(k)
+                        .map(|&(j, _)| j as u32),
+                );
+            }
+        }
+        CandidateLists { flat, k, n }
     }
 
     /// Builds k-nearest-neighbour lists from a precomputed distance
@@ -123,21 +121,18 @@ impl CandidateLists {
     pub fn from_matrix(matrix: &DistanceMatrix, k: usize) -> Self {
         let n = matrix.len();
         let k = k.min(n.saturating_sub(1));
-        if k == 0 {
-            return CandidateLists {
-                lists: vec![Vec::new(); n],
-                k,
-            };
-        }
-        let lists = (0..n)
-            .map(|i| {
+        let mut flat = Vec::with_capacity(n * k);
+        if k > 0 {
+            let mut order: Vec<u32> = Vec::with_capacity(n);
+            for i in 0..n {
                 let by_distance = |&a: &u32, &b: &u32| {
                     matrix
                         .get(i, a as usize)
                         .total_cmp(&matrix.get(i, b as usize))
                         .then(a.cmp(&b))
                 };
-                let mut order: Vec<u32> = (0..n as u32).filter(|&j| j as usize != i).collect();
+                order.clear();
+                order.extend((0..n as u32).filter(|&j| j as usize != i));
                 // Top-k selection, then sort only the survivors: O(n + k
                 // log k) per point instead of a full O(n log n) sort. The
                 // (distance, index) comparator is a total order, so the
@@ -148,16 +143,16 @@ impl CandidateLists {
                     order.truncate(k);
                 }
                 order.sort_by(by_distance);
-                order
-            })
-            .collect();
-        CandidateLists { lists, k }
+                flat.extend_from_slice(&order);
+            }
+        }
+        CandidateLists { flat, k, n }
     }
 
     /// The neighbour list of point `i`, nearest first.
     #[inline]
     pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.lists[i]
+        &self.flat[i * self.k..(i + 1) * self.k]
     }
 
     /// The `k` the lists were built with (after clamping).
@@ -169,13 +164,13 @@ impl CandidateLists {
     /// Number of points the lists cover.
     #[inline]
     pub fn len(&self) -> usize {
-        self.lists.len()
+        self.n
     }
 
     /// Returns `true` when built over an empty point set.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
+        self.n == 0
     }
 }
 

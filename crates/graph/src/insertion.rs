@@ -196,9 +196,11 @@ pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
     let mut best_cost = vec![f64::INFINITY; n];
     let mut heap: BinaryHeap<PendingInsertion> = BinaryHeap::with_capacity(n);
     let mut remaining: Vec<usize> = (0..n).filter(|&i| !in_tour[i]).collect();
-    let mut is_remaining = vec![false; n];
-    for &k in &remaining {
-        is_remaining[k] = true;
+    // `slot[k]` is k's index in `remaining`, or `usize::MAX` once k is in
+    // the tour, so a splice removes k in O(1).
+    let mut slot = vec![usize::MAX; n];
+    for (s, &k) in remaining.iter().enumerate() {
+        slot[k] = s;
     }
 
     // Scores `k` against every edge of the current cycle (the recompute
@@ -241,7 +243,7 @@ pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
     while !remaining.is_empty() {
         let entry = heap.pop().expect("heap mirrors remaining points");
         let k = entry.point;
-        if !is_remaining[k] {
+        if slot[k] == usize::MAX {
             continue; // already inserted
         }
         if entry.cost.to_bits() != best_cost[k].to_bits() {
@@ -258,9 +260,11 @@ pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
         let (e, f) = (entry.from, entry.to);
         next[e] = k;
         next[k] = f;
-        is_remaining[k] = false;
-        let slot = remaining.iter().position(|&r| r == k).expect("tracked");
-        remaining.swap_remove(slot);
+        let s = std::mem::replace(&mut slot[k], usize::MAX);
+        remaining.swap_remove(s);
+        if let Some(&moved) = remaining.get(s) {
+            slot[moved] = s;
+        }
 
         // Offer the two new edges (e, k) and (k, f) to every remaining
         // point; a cheaper offer supersedes the cache.

@@ -16,7 +16,7 @@
 //! restriction auditable instead of silent.
 
 use crate::graph::{RoadGraph, RoadGraphBuilder, SpeedClass};
-use mule_geom::{BoundingBox, KdTree, Point};
+use mule_geom::{BoundingBox, KdTree, KnnHeap, Point};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -162,8 +162,10 @@ pub fn random_planar(bounds: &BoundingBox, node_count: usize, k: usize, seed: u6
         // Unique candidate pairs, shortest first (ties by ids) so greedy
         // acceptance is deterministic and prefers short local roads.
         let mut candidates: Vec<(u32, u32, f64)> = Vec::new();
+        let (mut heap, mut hits) = (KnnHeap::default(), Vec::with_capacity(k + 1));
         for (i, p) in positions.iter().enumerate() {
-            for (j, d) in tree.k_nearest(p, k + 1) {
+            tree.k_nearest_into(p, k + 1, &mut heap, &mut hits);
+            for &(j, d) in &hits {
                 if j != i {
                     let (a, b) = (i.min(j) as u32, i.max(j) as u32);
                     candidates.push((a, b, d));

@@ -10,10 +10,10 @@
 //! this document, so the offline CLI and the service can be diffed
 //! byte-for-byte.
 
-use crate::json::{parse, JsonValue};
+use crate::json::{parse, JsonSeq, JsonValue, JsonWriter};
 use mule_sim::SimulationConfig;
 use mule_workload::{MetricSpec, ScenarioSpec, SweepSpec};
-use patrol_core::{PlanError, Planner, PlannerKind};
+use patrol_core::{MuleItinerary, PlanError, Planner, PlannerKind};
 use std::fmt;
 
 /// Schema tag of `/v1/plan` responses.
@@ -217,58 +217,71 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
     let scenario = spec.scenario_config().generate();
     let plan = planner.plan(&scenario)?;
 
-    let itineraries: Vec<JsonValue> = plan
+    // Streamed straight into one buffer; no document tree is built. A
+    // pretty-printed waypoint takes ≈ 110 bytes and a road-path point
+    // ≈ 80, so this capacity usually holds the whole document.
+    let points: usize = plan
         .itineraries
         .iter()
-        .map(|it| {
-            let cycle: Vec<JsonValue> = it
-                .cycle
-                .iter()
-                .map(|w| {
-                    JsonValue::object(vec![
-                        ("node", w.node.0.into()),
-                        ("x", w.position.x.into()),
-                        ("y", w.position.y.into()),
-                    ])
-                })
-                .collect();
-            let mut fields = vec![
-                ("mule", JsonValue::from(it.mule_index)),
-                (
-                    "start",
-                    JsonValue::Array(vec![it.start_position.x.into(), it.start_position.y.into()]),
-                ),
-                ("entry_offset_m", it.entry_offset_m.into()),
-                ("cycle_length_m", it.cycle_length().into()),
-                ("cycle", JsonValue::Array(cycle)),
-            ];
-            // Road plans also expose the driven geometry (the expanded
-            // polyline, `[[x, y], …]`); Euclidean responses stay
-            // byte-identical by omitting the field.
-            if !it.leg_paths.is_empty() {
-                let path: Vec<JsonValue> = it
-                    .expanded_points()
-                    .iter()
-                    .map(|p| JsonValue::Array(vec![p.x.into(), p.y.into()]))
-                    .collect();
-                fields.push(("path", JsonValue::Array(path)));
+        .map(|it| 128 * it.cycle.len() + 96 * it.leg_paths.iter().map(Vec::len).sum::<usize>())
+        .sum();
+    let mut out = String::with_capacity(1024 + points);
+    JsonWriter::pretty(&mut out).object(|doc| {
+        doc.field("schema").str(PLAN_SCHEMA);
+        doc.field("fingerprint")
+            .str(&format!("{:016x}", spec.fingerprint()));
+        doc.field("spec").value(&spec_to_json(spec));
+        doc.field("planner").str(&plan.planner_name);
+        doc.field("mules").uint(plan.mule_count() as u64);
+        doc.field("targets").uint(spec.targets as u64);
+        doc.field("max_cycle_length_m")
+            .float(plan.max_cycle_length());
+        doc.field("covered_nodes")
+            .uint(plan.covered_nodes().len() as u64);
+        doc.field("itineraries").array(|itineraries| {
+            for it in &plan.itineraries {
+                itineraries.item().object(|o| itinerary_fields(o, it));
             }
-            JsonValue::object(fields)
-        })
-        .collect();
+        });
+    });
+    out.push('\n');
+    Ok(out)
+}
 
-    let doc = JsonValue::object(vec![
-        ("schema", PLAN_SCHEMA.into()),
-        ("fingerprint", format!("{:016x}", spec.fingerprint()).into()),
-        ("spec", spec_to_json(spec)),
-        ("planner", plan.planner_name.as_str().into()),
-        ("mules", plan.mule_count().into()),
-        ("targets", spec.targets.into()),
-        ("max_cycle_length_m", plan.max_cycle_length().into()),
-        ("covered_nodes", plan.covered_nodes().len().into()),
-        ("itineraries", JsonValue::Array(itineraries)),
-    ]);
-    Ok(doc.to_pretty_string())
+/// One `/v1/plan` itinerary's fields, in document order.
+fn itinerary_fields(o: &mut JsonSeq<'_, '_>, it: &MuleItinerary) {
+    o.field("mule").uint(it.mule_index as u64);
+    let start = it.start_position;
+    xy(o.field("start"), start.x, start.y);
+    o.field("entry_offset_m").float(it.entry_offset_m);
+    o.field("cycle_length_m").float(it.cycle_length());
+    o.field("cycle").array(|cycle| {
+        for w in &it.cycle {
+            cycle.item().object(|wp| {
+                wp.field("node").uint(w.node.0 as u64);
+                wp.field("x").float(w.position.x);
+                wp.field("y").float(w.position.y);
+            });
+        }
+    });
+    // Road plans also expose the driven geometry (the expanded polyline,
+    // `[[x, y], …]`); Euclidean responses stay byte-identical by omitting
+    // the field.
+    if !it.leg_paths.is_empty() {
+        o.field("path").array(|path| {
+            for p in it.expanded_points() {
+                xy(path.item(), p.x, p.y);
+            }
+        });
+    }
+}
+
+/// A point as `[x, y]`.
+fn xy(w: &mut JsonWriter<'_>, x: f64, y: f64) {
+    w.array(|pair| {
+        pair.item().float(x);
+        pair.item().float(y);
+    });
 }
 
 /// A parsed `/v1/simulate` request: the spec plus execution knobs.

@@ -9,7 +9,8 @@
 //!
 //! Hard limits ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]) bound the memory
 //! any single connection can pin, so a malformed or hostile peer cannot
-//! balloon the server.
+//! balloon the server; [`MAX_RESPONSE_BODY_BYTES`] bounds what the client
+//! half reads back.
 
 use std::io::{BufRead, Write};
 
@@ -17,6 +18,13 @@ use std::io::{BufRead, Write};
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body, bytes.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Largest response body the client half ([`read_response`]) accepts,
+/// bytes. Responses are much larger than requests: a plan lists every
+/// target once per mule at ≈ 110 bytes per pretty-printed waypoint, so one
+/// cycle of [`MAX_SPEC_TARGETS`](crate::api::MAX_SPEC_TARGETS) (50 000)
+/// targets is ≈ 5.5 MB, and 64 MiB holds a plan of that size for up to
+/// 12 mules (the paper's fleets have at most 10).
+pub const MAX_RESPONSE_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -335,7 +343,7 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<ClientResponse, HttpEr
         .header("content-length")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    if len > MAX_BODY_BYTES {
+    if len > MAX_RESPONSE_BODY_BYTES {
         return Err(HttpError::TooLarge("response body"));
     }
     let mut body = vec![0u8; len];
@@ -439,6 +447,14 @@ mod tests {
         assert!(matches!(
             parse_bytes(big_body.as_bytes()),
             Err(HttpError::TooLarge("request body"))
+        ));
+        let big_response = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+            MAX_RESPONSE_BODY_BYTES + 1
+        );
+        assert!(matches!(
+            read_response(&mut BufReader::new(big_response.as_bytes())),
+            Err(HttpError::TooLarge("response body"))
         ));
     }
 

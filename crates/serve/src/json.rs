@@ -18,7 +18,7 @@
 //!   string-escape handling (including `\uXXXX` surrogate pairs) and byte
 //!   positions in every error.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts; deeper documents error out
 /// instead of overflowing the stack.
@@ -196,7 +196,7 @@ impl JsonValue {
     /// produce equal bytes.
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        JsonWriter::compact(&mut out).value(self);
         out
     }
 
@@ -205,34 +205,9 @@ impl JsonValue {
     /// diff-friendly).
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        JsonWriter::pretty(&mut out).value(self);
         out.push('\n');
         out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(true) => out.push_str("true"),
-            JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Number(n) => write_number(out, *n),
-            JsonValue::String(s) => write_string(out, s),
-            JsonValue::Array(items) => {
-                write_seq(out, indent, level, '[', ']', items.len(), |out, i, lvl| {
-                    items[i].write(out, indent, lvl);
-                });
-            }
-            JsonValue::Object(pairs) => {
-                write_seq(out, indent, level, '{', '}', pairs.len(), |out, i, lvl| {
-                    write_string(out, &pairs[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    pairs[i].1.write(out, indent, lvl);
-                });
-            }
-        }
     }
 }
 
@@ -242,66 +217,180 @@ impl fmt::Display for JsonValue {
     }
 }
 
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
+/// Writes JSON text straight into a `String`, value by value — the one
+/// serialiser behind [`JsonValue::to_json_string`] and
+/// [`JsonValue::to_pretty_string`], and the way large documents are
+/// produced without building a [`JsonValue`] first. Numbers and indents go
+/// into the output without intermediate strings.
+///
+/// Each method writes exactly one value. Objects and arrays take a closure
+/// that writes their members through a [`JsonSeq`]:
+///
+/// ```
+/// use mule_serve::json::JsonWriter;
+///
+/// let mut out = String::new();
+/// JsonWriter::compact(&mut out).object(|o| {
+///     o.field("x").float(1.5);
+///     o.field("ids").array(|a| a.item().uint(7));
+/// });
+/// assert_eq!(out, r#"{"x":1.5,"ids":[7]}"#);
+/// ```
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Whether to break lines and indent two spaces per nesting level.
+    pretty: bool,
     level: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut write_item: impl FnMut(&mut String, usize, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(step) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(step * (level + 1)));
-        }
-        write_item(out, i, level + 1);
-    }
-    if let Some(step) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(step * level));
-    }
-    out.push(close);
 }
 
-fn write_number(out: &mut String, n: JsonNumber) {
-    match n {
-        JsonNumber::U64(v) => out.push_str(&v.to_string()),
-        JsonNumber::I64(v) => out.push_str(&v.to_string()),
-        JsonNumber::F64(f) if f.is_finite() => {
+/// The members of the object or array a [`JsonWriter`] is writing.
+pub struct JsonSeq<'w, 'a> {
+    writer: &'w mut JsonWriter<'a>,
+    len: usize,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer of compact JSON (no whitespace) appending to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        JsonWriter {
+            out,
+            pretty: false,
+            level: 0,
+        }
+    }
+
+    /// A writer of 2-space-indented JSON appending to `out` (no trailing
+    /// newline).
+    pub fn pretty(out: &'a mut String) -> Self {
+        JsonWriter {
+            out,
+            pretty: true,
+            level: 0,
+        }
+    }
+
+    /// Writes a non-negative integer.
+    pub fn uint(&mut self, n: u64) {
+        self.number(JsonNumber::U64(n));
+    }
+
+    /// Writes a float in Rust's shortest round-trip form (`null` when not
+    /// finite).
+    pub fn float(&mut self, f: f64) {
+        self.number(JsonNumber::F64(f));
+    }
+
+    fn number(&mut self, n: JsonNumber) {
+        // Writing into a `String` cannot fail.
+        let _ = match n {
+            JsonNumber::U64(v) => write!(self.out, "{v}"),
+            JsonNumber::I64(v) => write!(self.out, "{v}"),
             // `{:?}` is Rust's shortest representation that parses back to
             // the same f64 — deterministic and lossless.
-            out.push_str(&format!("{f:?}"));
+            JsonNumber::F64(f) if f.is_finite() => write!(self.out, "{f:?}"),
+            JsonNumber::F64(_) => self.out.write_str("null"),
+        };
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) {
+        let out = &mut *self.out;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
         }
-        JsonNumber::F64(_) => out.push_str("null"),
+        out.push('"');
+    }
+
+    /// Writes a whole [`JsonValue`].
+    pub fn value(&mut self, v: &JsonValue) {
+        match v {
+            JsonValue::Null => self.out.push_str("null"),
+            JsonValue::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) => self.number(*n),
+            JsonValue::String(s) => self.str(s),
+            JsonValue::Array(items) => self.array(|a| {
+                for item in items {
+                    a.item().value(item);
+                }
+            }),
+            JsonValue::Object(pairs) => self.object(|o| {
+                for (key, value) in pairs {
+                    o.field(key).value(value);
+                }
+            }),
+        }
+    }
+
+    /// Writes an object whose fields `fields` writes with
+    /// [`JsonSeq::field`].
+    pub fn object(&mut self, fields: impl FnOnce(&mut JsonSeq<'_, 'a>)) {
+        self.seq('{', '}', fields);
+    }
+
+    /// Writes an array whose items `items` writes with [`JsonSeq::item`].
+    pub fn array(&mut self, items: impl FnOnce(&mut JsonSeq<'_, 'a>)) {
+        self.seq('[', ']', items);
+    }
+
+    fn seq(&mut self, open: char, close: char, members: impl FnOnce(&mut JsonSeq<'_, 'a>)) {
+        self.out.push(open);
+        self.level += 1;
+        let mut seq = JsonSeq {
+            writer: self,
+            len: 0,
+        };
+        members(&mut seq);
+        let empty = seq.len == 0;
+        self.level -= 1;
+        if !empty {
+            self.newline();
+        }
+        self.out.push(close);
+    }
+
+    /// A line break and the current level's indent (nothing when compact).
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', 2 * self.level));
+        }
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+impl<'w, 'a> JsonSeq<'w, 'a> {
+    /// Starts the next array item; write its value with the returned
+    /// writer.
+    pub fn item(&mut self) -> &mut JsonWriter<'a> {
+        if self.len > 0 {
+            self.writer.out.push(',');
         }
+        self.len += 1;
+        self.writer.newline();
+        self.writer
     }
-    out.push('"');
+
+    /// Starts the next object field, writing its key; write its value with
+    /// the returned writer.
+    pub fn field(&mut self, key: &str) -> &mut JsonWriter<'a> {
+        let writer = self.item();
+        writer.str(key);
+        writer.out.push(':');
+        if writer.pretty {
+            writer.out.push(' ');
+        }
+        writer
+    }
 }
 
 /// A parse failure: what went wrong and the byte offset it happened at.

@@ -390,3 +390,34 @@ fn shutdown_joins_cleanly_with_open_connections() {
         "shutdown must not hang on idle connections"
     );
 }
+
+#[test]
+fn loadgen_reads_a_plan_larger_than_the_request_body_cap() {
+    // A 2000-target, 8-mule plan is ≈ 1.75 MB: well past the 1 MiB cap on
+    // request bodies, which must not bound what the client reads back.
+    let base = ScenarioSpec {
+        targets: 2000,
+        mules: 8,
+        seed: 3,
+        ..ScenarioSpec::default()
+    };
+    let plan = plan_response_json(&base).unwrap();
+    assert!(
+        plan.len() > mule_serve::http::MAX_BODY_BYTES,
+        "{}",
+        plan.len()
+    );
+
+    let server = test_server(ServerConfig::default());
+    let report = mule_serve::run_loadgen(&mule_serve::LoadgenParams {
+        addr: server.addr().to_string(),
+        requests: 2,
+        connections: 1,
+        spec_pool: 1,
+        base,
+        ..mule_serve::LoadgenParams::default()
+    });
+    assert_eq!((report.ok, report.errors), (2, 0), "{}", report.render());
+    assert_eq!((report.misses, report.hits), (1, 1));
+    server.shutdown();
+}
