@@ -14,7 +14,8 @@
 //!
 //! The FNV-1a-64 hashes were captured before the three CHB pipelines were
 //! folded into one (the `simulate` case before the flag parser was folded
-//! into one table); a refactor must leave them alone.
+//! into one table, the two benchmark-size cases before the k-NN query and
+//! the plan writer were rewritten); a refactor must leave them alone.
 //! (An intentional, reviewed output change may re-pin them, with the diff
 //! in hand.)
 
