@@ -355,7 +355,7 @@ fn try_relocate_candidates<D: SearchDist>(
     points: &D,
     candidates: &CandidateLists,
     a: usize,
-    pos: &mut Vec<usize>,
+    pos: &mut [usize],
 ) -> Option<[usize; 6]> {
     let n = tour.len();
     let mut best: Option<(f64, [usize; 3], usize, usize, bool)> = None; // (gain, chain, chain_len, edge_start, reversed)
@@ -418,26 +418,9 @@ fn try_relocate_candidates<D: SearchDist>(
     let after = tour.order()[(start + chain_len) % n];
     let edge_end = tour.order()[(pos[edge_start] + 1) % n];
 
-    // Splice: rebuild the order without the chain, then insert it after
-    // `edge_start`. O(n), but only paid on applied (improving) moves.
-    let mut new_order = Vec::with_capacity(n);
-    for p in 0..n {
-        let idx = tour.order()[p];
-        if chain[..chain_len].contains(&idx) {
-            continue;
-        }
-        new_order.push(idx);
-        if idx == edge_start {
-            if reversed {
-                new_order.extend(chain[..chain_len].iter().rev().copied());
-            } else {
-                new_order.extend(chain[..chain_len].iter().copied());
-            }
-        }
-    }
-    debug_assert_eq!(new_order.len(), n);
-    *tour = Tour::new(new_order);
-    *pos = tour.position_index();
+    // Splice in place: rotate the chain past the points between it and
+    // `edge_start`; only applied (improving) moves pay for it.
+    tour.relocate_chain(start, chain_len, pos[edge_start], reversed, pos);
     Some([before, after, chain_first, chain_last, edge_start, edge_end])
 }
 

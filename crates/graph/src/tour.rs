@@ -169,6 +169,57 @@ impl Tour {
         }
     }
 
+    /// Moves the chain of `len` points at positions `start, start + 1, …`
+    /// (wrapping past the end) to just after the point at position `after`,
+    /// reversed if `reversed`, updating the caller's position index — the
+    /// Or-opt move primitive.
+    ///
+    /// The result is the array a rebuild would produce: the other points
+    /// in array order, starting from the first position at or after 0
+    /// that is not in the chain, with the chain spliced in after them. It is
+    /// built in place: a chain that does not wrap costs one rotation of the
+    /// positions between it and `after`, and only those positions are
+    /// re-indexed; a wrapping chain first rotates the whole array so the
+    /// chain ends it.
+    ///
+    /// # Panics
+    /// Panics when `after` lies inside the chain or `len` is not below the
+    /// tour length.
+    pub fn relocate_chain(
+        &mut self,
+        start: usize,
+        len: usize,
+        after: usize,
+        reversed: bool,
+        pos: &mut [usize],
+    ) {
+        let n = self.order.len();
+        assert!(len < n, "chain of {len} in a tour of {n}");
+        debug_assert_eq!(pos.len(), n, "position index length mismatch");
+        let wrap = (start + len).saturating_sub(n);
+        let (start, after) = if wrap > 0 {
+            self.order.rotate_left(wrap);
+            (start - wrap, after - wrap)
+        } else {
+            (start, after)
+        };
+        let (moved, chain) = if after > start {
+            assert!(after >= start + len, "reinsertion point inside the chain");
+            self.order[start..=after].rotate_left(len);
+            (start..after + 1, after + 1 - len..after + 1)
+        } else {
+            self.order[after + 1..start + len].rotate_right(len);
+            (after + 1..start + len, after + 1..after + 1 + len)
+        };
+        if reversed {
+            self.order[chain].reverse();
+        }
+        let moved = if wrap > 0 { 0..n } else { moved };
+        for p in moved {
+            pos[self.order[p]] = p;
+        }
+    }
+
     /// Consumes the tour and returns the underlying order.
     pub fn into_order(self) -> Vec<usize> {
         self.order

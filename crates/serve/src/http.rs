@@ -13,6 +13,7 @@
 //! half reads back.
 
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 /// Largest accepted request/status line + headers block, bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -195,17 +196,23 @@ pub struct Response {
     /// Extra headers (`Content-Length`, `Content-Type` and `Connection`
     /// are emitted automatically).
     pub headers: Vec<(String, String)>,
-    /// Body bytes.
-    pub body: Vec<u8>,
+    /// Body bytes, shared so a cached plan is written out without a copy.
+    pub body: Arc<Vec<u8>>,
 }
 
 impl Response {
     /// A JSON response with the given status.
     pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
+        Response::json_shared(status, Arc::new(body.into()))
+    }
+
+    /// A JSON response over bytes shared with their owner (the plan
+    /// cache), without copying them.
+    pub fn json_shared(status: u16, body: Arc<Vec<u8>>) -> Self {
         Response {
             status,
             headers: Vec::new(),
-            body: body.into(),
+            body,
         }
     }
 
@@ -215,7 +222,7 @@ impl Response {
         Response {
             status,
             headers: vec![("Content-Type".to_string(), content_type.to_string())],
-            body: body.into(),
+            body: Arc::new(body.into()),
         }
     }
 
@@ -480,7 +487,7 @@ mod tests {
     fn error_responses_carry_a_json_document() {
         let response = Response::error(422, "no mules");
         assert_eq!(response.status, 422);
-        let text = String::from_utf8(response.body.clone()).unwrap();
+        let text = String::from_utf8(response.body.to_vec()).unwrap();
         let doc = crate::json::parse(&text).unwrap();
         assert_eq!(
             doc.get("error").and_then(crate::json::JsonValue::as_str),

@@ -1512,7 +1512,7 @@ fn stale_response(shared: &Shared, key: u64) -> Option<Response> {
     let bytes = shared.cache.stale_get(key)?;
     shared.metrics.observe_stale_served();
     Some(
-        Response::json(200, bytes.as_slice().to_vec())
+        Response::json_shared(200, bytes)
             .with_header("X-Cache", "stale")
             .with_header("Warning", "110 mule-serve \"stale-on-error\"")
             .with_header("X-Fingerprint", format!("{key:016x}")),
@@ -1560,8 +1560,7 @@ fn handle_plan(body: &[u8], shared: &Arc<Shared>) -> (Option<CacheOutcome>, Resp
     match looked_up {
         Ok((bytes, outcome)) => {
             shared.breaker_plan.on_success();
-            let _s = mule_obs::span("request.serialize");
-            let response = Response::json(200, bytes.as_slice().to_vec())
+            let response = Response::json_shared(200, bytes)
                 .with_header("X-Cache", outcome.label())
                 .with_header("X-Fingerprint", format!("{key:016x}"));
             (Some(outcome), response)
